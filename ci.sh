@@ -8,6 +8,15 @@ cd "$(dirname "$0")"
 echo "== cargo fmt --check"
 cargo fmt --all --check
 
+echo "== one entry point per job: no *_engine / *_sampled variants in crates/core/src"
+# Engine and sampling choices travel in one RunOpts value; a function
+# named for one of them is a forwarding variant creeping back.
+if variants=$(grep -rnoE 'pub fn \w+_(engine|sampled)\(' crates/core/src); then
+    echo "error: public forwarding variant(s) defined; take &RunOpts instead:" >&2
+    echo "$variants" >&2
+    exit 1
+fi
+
 echo "== cargo clippy -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 

@@ -9,7 +9,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use memsim_bench::bench_scale;
 use memsim_core::configs::n_by_name;
-use memsim_core::runner::{evaluate_cached, SimCache};
+use memsim_core::runner::{evaluate, RunOpts, SimCache};
 use memsim_core::{Design, LevelCost, Metrics};
 use memsim_tech::Technology;
 use memsim_workloads::WorkloadKind;
@@ -48,7 +48,7 @@ fn bench(c: &mut Criterion) {
             nvm: Technology::Pcm,
             config,
         };
-        let r = evaluate_cached(kind, &scale, &design, &cache);
+        let r = evaluate(kind, &scale, &design, &cache, &RunOpts::default());
         println!(
             "\n{} @ {} ({} B pages):",
             kind.name(),
@@ -80,7 +80,7 @@ fn bench(c: &mut Criterion) {
     println!("====================================================================\n");
 
     let config = n_by_name("N3").unwrap();
-    let r = evaluate_cached(
+    let r = evaluate(
         WorkloadKind::Cg,
         &scale,
         &Design::Nmm {
@@ -88,6 +88,7 @@ fn bench(c: &mut Criterion) {
             config,
         },
         &cache,
+        &RunOpts::default(),
     );
     c.bench_function("ablation_bandwidth/recost", |b| {
         b.iter(|| black_box(recost(&r, &scale, Some(12.8))))

@@ -22,10 +22,10 @@ mod interrupt;
 mod output;
 
 use memsim_core::configs::{eh_by_name, eh_configs, n_by_name, n_configs};
-use memsim_core::experiments::{self, ExperimentCtx, Metric};
-use memsim_core::report::{heatmap_to_csv, heatmap_to_markdown};
+use memsim_core::experiments::{self, ExperimentCtx};
 use memsim_core::{
-    evaluate, Design, Engine, SampleMode, Scale, SimCache, SweepCtx, SweepError, JOURNAL_FILE,
+    evaluate, Design, Engine, RunOpts, SampleMode, Scale, SimCache, SweepCtx, SweepError,
+    JOURNAL_FILE,
 };
 use memsim_obs::json;
 use memsim_tech::Technology;
@@ -175,12 +175,7 @@ impl Opts {
     }
 
     fn scale(&self) -> Result<Scale, String> {
-        match self.get("scale").unwrap_or("demo") {
-            "mini" => Ok(Scale::mini()),
-            "demo" => Ok(Scale::demo()),
-            "paper" => Ok(Scale::paper()),
-            other => Err(format!("unknown scale '{other}'")),
-        }
+        Scale::parse(self.get("scale").unwrap_or("demo"))
     }
 
     fn workloads(&self) -> Result<Vec<WorkloadKind>, String> {
@@ -198,13 +193,9 @@ impl Opts {
     }
 
     fn threads(&self) -> Result<Option<usize>, String> {
-        match self.get("threads") {
-            None => Ok(None),
-            Some(t) => t
-                .parse()
-                .map(Some)
-                .map_err(|_| format!("bad thread count '{t}'")),
-        }
+        self.get("threads")
+            .map(|_| positive_opt(self, "threads", 1))
+            .transpose()
     }
 
     /// `--sample`: "off" (the default) walks every event;
@@ -218,20 +209,17 @@ impl Opts {
         }
     }
 
-    /// `--shards`: "auto" (the default) picks for this host, "seq" forces
-    /// the sequential engine, N >= 1 requests that many set shards. Zero
-    /// is rejected (a zero-worker engine cannot make progress) and
-    /// duplicates are already rejected by [`Opts::parse`].
+    /// `--shards N|auto|seq` (default auto), parsed by [`Engine::parse`].
     fn shards(&self) -> Result<Engine, String> {
-        match self.get("shards").unwrap_or("auto") {
-            "auto" => Ok(Engine::auto()),
-            "seq" => Ok(Engine::Sequential),
-            n => match n.parse::<usize>() {
-                Ok(0) => Err("--shards must be at least 1 (or 'auto'/'seq')".into()),
-                Ok(n) => Ok(Engine::Sharded(n)),
-                Err(_) => Err(format!("bad shard count '{n}' (want N, 'auto', or 'seq')")),
-            },
-        }
+        Engine::parse(self.get("shards").unwrap_or("auto"))
+    }
+
+    /// The run options of a verb that takes `--shards` and `--sample`.
+    fn run_opts(&self) -> Result<RunOpts, String> {
+        Ok(RunOpts {
+            engine: self.shards()?,
+            sample: self.sample()?,
+        })
     }
 }
 
@@ -512,16 +500,11 @@ fn cmd_list() -> Result<(), String> {
 /// Open (or resume) the sweep journal in `out` and arm the ctrl-c flag.
 /// The sampling mode joins the journal fingerprint: a sampled journal
 /// refuses to resume a full-fidelity sweep and vice versa.
-fn start_sweep(
-    out: &Path,
-    scale: &Scale,
-    resume: bool,
-    sample: SampleMode,
-) -> Result<SweepCtx, String> {
+fn start_sweep(out: &Path, scale: &Scale, resume: bool, run: &RunOpts) -> Result<SweepCtx, String> {
     std::fs::create_dir_all(out).map_err(|e| format!("cannot create {}: {e}", out.display()))?;
     let journal = out.join(JOURNAL_FILE);
     let mut ctx = if resume {
-        let (ctx, rec) = SweepCtx::resume_sampled(scale, &journal, sample)?;
+        let (ctx, rec) = SweepCtx::resume(scale, &journal, run)?;
         if rec.corrupt_lines > 0 {
             eprintln!(
                 "resume: dropped {} corrupt journal line(s)",
@@ -541,25 +524,63 @@ fn start_sweep(
         );
         ctx
     } else {
-        SweepCtx::fresh_sampled(scale, &journal, sample)?
+        SweepCtx::fresh(scale, &journal, run)?
     };
     ctx.set_interrupt(interrupt::install());
     Ok(ctx)
 }
 
-/// Journaling for `table`/`figure`/`heatmap`: armed only when `--out` is
-/// present (`reproduce` always journals and uses [`start_sweep`] directly).
-fn start_sweep_opt(
-    opts: &Opts,
-    scale: &Scale,
-    sample: SampleMode,
-) -> Result<Option<SweepCtx>, String> {
-    match opts.get("out") {
-        Some(out) => start_sweep(Path::new(out), scale, opts.has("resume"), sample).map(Some),
-        None if opts.has("resume") => {
-            Err("--resume needs --out DIR (the journal lives there)".into())
+/// The set-up every sweep verb (`table table4`, `figure`, `heatmap`,
+/// `reproduce`) shares: the scale, the run options, the journal in `out`
+/// (`reproduce` always journals; the others only with `--out`) and the
+/// memo the experiment context borrows.
+struct SweepSetup {
+    scale: Scale,
+    run: RunOpts,
+    sweep: Option<SweepCtx>,
+    cache: SimCache,
+}
+
+impl SweepSetup {
+    fn open(opts: &Opts, run: RunOpts, out: Option<&Path>) -> Result<Self, String> {
+        let scale = opts.scale()?;
+        let sweep = match out {
+            Some(out) => Some(start_sweep(out, &scale, opts.has("resume"), &run)?),
+            None if opts.has("resume") => {
+                return Err("--resume needs --out DIR (the journal lives there)".into())
+            }
+            None => None,
+        };
+        Ok(Self {
+            scale,
+            run,
+            sweep,
+            cache: SimCache::new(),
+        })
+    }
+
+    /// The experiment context over this set-up, with `--workloads` and
+    /// `--threads` applied.
+    fn ctx(&self, opts: &Opts) -> Result<ExperimentCtx<'_>, String> {
+        let mut ctx = ExperimentCtx::new(self.scale, &self.cache);
+        ctx.workloads = opts.workloads()?;
+        ctx.threads = opts.threads()?;
+        ctx.sweep = self.sweep.as_ref();
+        ctx.opts = self.run;
+        Ok(ctx)
+    }
+
+    /// Build the artifact `name` through the shared registry (the code
+    /// path the server's jobs use), print it (`--csv` picks the form) and,
+    /// with `--out`, write both forms next to the journal as `file`.
+    fn emit(&self, opts: &Opts, cmd: &str, name: &str, file: &str) -> Result<(), CliError> {
+        let (md, csv) = memsim_core::build_artifact(&self.ctx(opts)?, name)
+            .map_err(|e| sweep_err(e, cmd, opts, self.sweep.as_ref()))?;
+        println!("{}", if opts.has("csv") { &csv } else { &md });
+        if let Some(out) = opts.get("out") {
+            write_artifact(Path::new(out), file, &md, &csv)?;
         }
-        None => Ok(None),
+        Ok(())
     }
 }
 
@@ -650,79 +671,32 @@ fn cmd_table(opts: &Opts) -> Result<(), CliError> {
             }
         }
         "table4" | "workloads" => {
-            let scale = opts.scale()?;
-            let sample = opts.sample()?;
-            let sweep = start_sweep_opt(opts, &scale, sample)?;
-            let cache = SimCache::new();
-            let mut ctx = ExperimentCtx::new(scale, &cache).with_sample(sample);
-            if let Some(s) = &sweep {
-                ctx = ctx.with_sweep(s);
-            }
-            ctx.workloads = opts.workloads()?;
-            ctx.threads = opts.threads()?;
-            let t = experiments::table4(&ctx)
-                .map_err(|e| sweep_err(e, "table", opts, sweep.as_ref()))?;
-            println!(
-                "{}",
-                if opts.has("csv") {
-                    t.to_csv()
-                } else {
-                    t.to_markdown()
-                }
-            );
-            if let Some(out) = opts.get("out") {
-                write_artifact(Path::new(out), "table4", &t.to_markdown(), &t.to_csv())?;
-            }
+            // `table` takes no --shards: table4 stays on the sequential walk
+            let run = RunOpts {
+                sample: opts.sample()?,
+                ..RunOpts::default()
+            };
+            SweepSetup::open(opts, run, opts.get("out").map(Path::new))?
+                .emit(opts, "table", "table4", "table4")?;
         }
         other => return Err(format!("unknown table '{other}'").into()),
     }
     Ok(())
 }
 
-use memsim_core::artifacts::{render_figure as render_fig, render_heatmap as render_heat};
-
 fn cmd_figure(opts: &Opts) -> Result<(), CliError> {
     let which = opts
         .positional
         .first()
         .ok_or("figure needs an id (fig1..fig10)")?;
-    let scale = opts.scale()?;
-    let engine = opts.shards()?;
-    let sample = opts.sample()?;
+    if !(1..=10).any(|i| *which == format!("fig{i}")) {
+        return Err(format!("unknown figure '{which}'").into());
+    }
+    let setup = SweepSetup::open(opts, opts.run_opts()?, opts.get("out").map(Path::new))?;
     let mut obs = ObsSession::start(opts, "figure");
     obs.annotate("figure", which.clone());
-    obs.annotate("scale", scale.class.name().to_string());
-    let mut sweep = start_sweep_opt(opts, &scale, sample)?;
-    if let Some(s) = sweep.as_mut() {
-        s.set_shards(engine.journal_shards());
-    }
-    let cache = SimCache::new();
-    let mut ctx = ExperimentCtx::new(scale, &cache)
-        .with_engine(engine)
-        .with_sample(sample);
-    if let Some(s) = &sweep {
-        ctx = ctx.with_sweep(s);
-    }
-    ctx.workloads = opts.workloads()?;
-    ctx.threads = opts.threads()?;
-    let to_err = |e| sweep_err(e, "figure", opts, sweep.as_ref());
-    let (md, csv) = match which.as_str() {
-        "fig1" => render_fig(&experiments::fig_nmm(&ctx, Metric::Time).map_err(to_err)?),
-        "fig2" => render_fig(&experiments::fig_nmm(&ctx, Metric::Energy).map_err(to_err)?),
-        "fig3" => render_fig(&experiments::fig_4lc(&ctx, Metric::Time).map_err(to_err)?),
-        "fig4" => render_fig(&experiments::fig_4lc(&ctx, Metric::Energy).map_err(to_err)?),
-        "fig5" => render_fig(&experiments::fig_4lcnvm(&ctx, Metric::Time).map_err(to_err)?),
-        "fig6" => render_fig(&experiments::fig_4lcnvm(&ctx, Metric::Energy).map_err(to_err)?),
-        "fig7" => render_fig(&experiments::fig_ndm(&ctx, Metric::Time).map_err(to_err)?),
-        "fig8" => render_fig(&experiments::fig_ndm(&ctx, Metric::Energy).map_err(to_err)?),
-        "fig9" => render_heat(&experiments::fig9(&ctx).map_err(to_err)?),
-        "fig10" => render_heat(&experiments::fig10(&ctx).map_err(to_err)?),
-        other => return Err(format!("unknown figure '{other}'").into()),
-    };
-    println!("{}", if opts.has("csv") { &csv } else { &md });
-    if let Some(out) = opts.get("out") {
-        write_artifact(Path::new(out), which, &md, &csv)?;
-    }
+    obs.annotate("scale", setup.scale.class.name().to_string());
+    setup.emit(opts, "figure", which, which)?;
     obs.finish()?;
     Ok(())
 }
@@ -766,8 +740,12 @@ fn cmd_run(opts: &Opts) -> Result<(), String> {
     obs.annotate("design", design.label());
     obs.annotate("scale", scale.class.name().to_string());
 
-    let base = evaluate(workload, &scale, &Design::Baseline);
-    let result = evaluate(workload, &scale, &design);
+    // one memo for both points: a design sharing the baseline's structure
+    // (ndm) is costed from the same walk
+    let cache = SimCache::new();
+    let run = RunOpts::default();
+    let base = evaluate(workload, &scale, &Design::Baseline, &cache, &run);
+    let result = evaluate(workload, &scale, &design, &cache, &run);
     let norm = result.metrics.normalized_to(&base.metrics);
 
     r.text(format!("# {} on {}", design.label(), workload.name()));
@@ -902,21 +880,7 @@ fn levels_json(run: &memsim_core::RawRun) -> String {
     let levels: Vec<String> = run
         .all_levels()
         .into_iter()
-        .map(|s| {
-            let mut o = json::Obj::new();
-            o.str("name", &s.name)
-                .u64("loads", s.loads)
-                .u64("stores", s.stores)
-                .u64("load_hits", s.load_hits)
-                .u64("load_misses", s.load_misses)
-                .u64("store_hits", s.store_hits)
-                .u64("store_misses", s.store_misses)
-                .u64("writebacks_out", s.writebacks_out)
-                .u64("fills", s.fills)
-                .u64("bytes_loaded", s.bytes_loaded)
-                .u64("bytes_stored", s.bytes_stored);
-            o.finish()
-        })
+        .map(memsim_core::journal::level_stats_json)
         .collect();
     json::array(&levels)
 }
@@ -1019,13 +983,6 @@ fn human_capacity(bytes: u64) -> String {
     }
 }
 
-/// Build one `reproduce` artifact as (markdown, CSV) through the shared
-/// artifact registry (`memsim_core::artifacts`) — the same code path the
-/// server's jobs use, which is what keeps them byte-identical.
-fn build_artifact(ctx: &ExperimentCtx, name: &str) -> Result<(String, String), SweepError> {
-    memsim_core::build_artifact(ctx, name)
-}
-
 /// Regenerate every table and figure into `--out DIR` (markdown + CSV),
 /// sharing one simulation memo across all of them.
 ///
@@ -1037,23 +994,14 @@ fn build_artifact(ctx: &ExperimentCtx, name: &str) -> Result<(String, String), S
 /// and prints the exact resume command.
 fn cmd_reproduce(opts: &Opts) -> Result<(), CliError> {
     let out = PathBuf::from(opts.get("out").unwrap_or("reproduction"));
-    let scale = opts.scale()?;
-    let engine = opts.shards()?;
-    let sample = opts.sample()?;
-    let mut sweep = start_sweep(&out, &scale, opts.has("resume"), sample)?;
-    sweep.set_shards(engine.journal_shards());
+    let setup = SweepSetup::open(opts, opts.run_opts()?, Some(&out))?;
     let mut obs = ObsSession::start(opts, "reproduce");
-    obs.annotate("scale", scale.class.name().to_string());
+    obs.annotate("scale", setup.scale.class.name().to_string());
     obs.annotate("out", out.display().to_string());
-    obs.annotate("engine", engine.to_string());
-    obs.annotate("sample", sample.canon());
-    let cache = SimCache::new();
-    let mut ctx = ExperimentCtx::new(scale, &cache)
-        .with_sweep(&sweep)
-        .with_engine(engine)
-        .with_sample(sample);
-    ctx.workloads = opts.workloads()?;
-    ctx.threads = opts.threads()?;
+    obs.annotate("engine", setup.run.engine.to_string());
+    obs.annotate("sample", setup.run.sample.canon());
+    let ctx = setup.ctx(opts)?;
+    let sweep = ctx.sweep.expect("reproduce always journals");
 
     let write = |name: &str, md: String, csv: String| -> Result<(), String> {
         write_artifact(&out, name, &md, &csv)?;
@@ -1074,7 +1022,9 @@ fn cmd_reproduce(opts: &Opts) -> Result<(), CliError> {
             interrupted = true;
             break;
         }
-        match build_artifact(&ctx, name) {
+        // the shared artifact registry — the same code path the server's
+        // jobs use, which is what keeps them byte-identical
+        match memsim_core::build_artifact(&ctx, name) {
             Ok((md, csv)) => write(name, md, csv)?,
             Err(SweepError::Interrupted) => {
                 interrupted = true;
@@ -1170,13 +1120,6 @@ fn cmd_record(opts: &Opts) -> Result<(), String> {
     obs.finish()
 }
 
-/// The design grid `replay` evaluates by default: one representative per
-/// architecture family, at the configs the paper highlights (shared with
-/// the server's design-grid jobs).
-fn default_replay_designs() -> Vec<(&'static str, Design)> {
-    memsim_core::named_designs()
-}
-
 fn cmd_replay(opts: &Opts) -> Result<(), CliError> {
     let file = opts.positional.first().ok_or("replay needs a trace file")?;
     let path = Path::new(file);
@@ -1201,7 +1144,9 @@ fn cmd_replay(opts: &Opts) -> Result<(), CliError> {
         );
     }
 
-    let all = default_replay_designs();
+    // by default one representative per architecture family, at the
+    // configs the paper highlights (shared with the server's jobs)
+    let all = memsim_core::named_designs();
     let designs: Vec<Design> = match opts.get("designs") {
         None => all.iter().map(|(_, d)| *d).collect(),
         Some(list) => list
@@ -1218,14 +1163,14 @@ fn cmd_replay(opts: &Opts) -> Result<(), CliError> {
     let mut grid = vec![Design::Baseline];
     grid.extend(designs.iter().filter(|d| **d != Design::Baseline).copied());
 
-    let engine = opts.shards()?;
-    let sample = opts.sample()?;
+    let run = opts.run_opts()?;
+    let sample = run.sample;
     let mut rep = Report::new(opts.report_mode()?);
     let mut obs = ObsSession::start(opts, "replay");
     obs.annotate("trace", trace_basename(file));
     obs.annotate("workload", header.workload.clone());
     obs.annotate("scale", scale.class.name().to_string());
-    obs.annotate("engine", engine.to_string());
+    obs.annotate("engine", run.engine.to_string());
     obs.annotate("sample", sample.canon());
     obs.annotate(
         "designs",
@@ -1235,14 +1180,7 @@ fn cmd_replay(opts: &Opts) -> Result<(), CliError> {
     // Fault-isolated: a shard that fails to decode (corrupt chunk,
     // truncation mid-walk) or panics strands only its own designs; the
     // surviving rows still print, and the exit is non-zero.
-    let outcome = memsim_core::replay_grid_robust_sampled(
-        path,
-        &grid,
-        &scale,
-        opts.threads()?,
-        engine,
-        sample,
-    )?;
+    let outcome = memsim_core::replay_grid(path, &grid, &scale, opts.threads()?, &run)?;
     let stranded: Vec<Design> = outcome
         .failures
         .iter()
@@ -1459,43 +1397,16 @@ fn cmd_heatmap(opts: &Opts) -> Result<(), CliError> {
         .first()
         .map(|s| s.as_str())
         .unwrap_or("latency");
-    let scale = opts.scale()?;
-    let engine = opts.shards()?;
-    let sample = opts.sample()?;
+    let figure = match axis {
+        "latency" => "fig9",
+        "energy" => "fig10",
+        other => return Err(format!("unknown heatmap axis '{other}'").into()),
+    };
+    let setup = SweepSetup::open(opts, opts.run_opts()?, opts.get("out").map(Path::new))?;
     let mut obs = ObsSession::start(opts, "heatmap");
     obs.annotate("axis", axis.to_string());
-    obs.annotate("scale", scale.class.name().to_string());
-    let mut sweep = start_sweep_opt(opts, &scale, sample)?;
-    if let Some(s) = sweep.as_mut() {
-        s.set_shards(engine.journal_shards());
-    }
-    let cache = SimCache::new();
-    let mut ctx = ExperimentCtx::new(scale, &cache)
-        .with_engine(engine)
-        .with_sample(sample);
-    if let Some(s) = &sweep {
-        ctx = ctx.with_sweep(s);
-    }
-    ctx.workloads = opts.workloads()?;
-    ctx.threads = opts.threads()?;
-    let h = match axis {
-        "latency" => experiments::fig9(&ctx),
-        "energy" => experiments::fig10(&ctx),
-        other => return Err(format!("unknown heatmap axis '{other}'").into()),
-    }
-    .map_err(|e| sweep_err(e, "heatmap", opts, sweep.as_ref()))?;
-    println!(
-        "{}",
-        if opts.has("csv") {
-            heatmap_to_csv(&h)
-        } else {
-            heatmap_to_markdown(&h)
-        }
-    );
-    if let Some(out) = opts.get("out") {
-        let (md, csv) = render_heat(&h);
-        write_artifact(Path::new(out), axis, &md, &csv)?;
-    }
+    obs.annotate("scale", setup.scale.class.name().to_string());
+    setup.emit(opts, "heatmap", figure, axis)?;
     obs.finish()?;
     Ok(())
 }
@@ -1842,8 +1753,10 @@ mod tests {
 
     #[test]
     fn bad_thread_count_errors() {
-        let o = Opts::parse(&args(&["--threads", "lots"])).unwrap();
-        assert!(o.threads().is_err());
+        for bad in ["lots", "0"] {
+            let o = Opts::parse(&args(&["--threads", bad])).unwrap();
+            assert!(o.threads().is_err(), "--threads {bad} accepted");
+        }
     }
 
     #[test]
@@ -2018,6 +1931,44 @@ mod tests {
         assert!(doc.contains("\"replay.3L.reader.crc_verified_chunks\""));
         assert!(doc.contains("\"progress.shards_done\""));
 
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn run_walks_a_shared_structure_once() {
+        // ndm shares the baseline's 3-level structure: the design is
+        // costed from the baseline's walk, not from a second one
+        let _lock = memsim_obs::test_lock();
+        let dir = std::env::temp_dir().join(format!("memsim-cli-memo-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let metrics = dir.join("run.json").display().to_string();
+        run(&args(&[
+            "run",
+            "--workload",
+            "hash",
+            "--design",
+            "ndm",
+            "--scale",
+            "mini",
+            "--quiet",
+            "--metrics-out",
+            &metrics,
+        ]))
+        .unwrap();
+        let doc = std::fs::read_to_string(&metrics).unwrap();
+        let count = |key: &str| -> u64 {
+            let field = format!("\"{key}\":");
+            let at = doc
+                .find(&field)
+                .unwrap_or_else(|| panic!("{key} not exported: {doc}"));
+            let digits: String = doc[at + field.len()..]
+                .chars()
+                .take_while(char::is_ascii_digit)
+                .collect();
+            digits.parse().unwrap()
+        };
+        assert_eq!(count("sim.memo.misses"), 1);
+        assert_eq!(count("sim.memo.hits"), 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -6,12 +6,11 @@
 
 use crate::configs::{eh_configs, n_configs};
 use crate::design::Design;
-use crate::heatmap::{default_multipliers, heatmap_sampled, Axis, HeatmapData};
+use crate::heatmap::{default_multipliers, heatmap, Axis, HeatmapData};
 use crate::journal::SweepCtx;
 use crate::model::NormMetrics;
 use crate::report::{FigureData, Series};
-use crate::runner::{evaluate_grid_sweep_sampled, Engine, EvalResult, SimCache, SweepError};
-use crate::sampling::SampleMode;
+use crate::runner::{evaluate_grid, EvalResult, RunOpts, SimCache, SweepError};
 use crate::scale::Scale;
 use memsim_tech::{TechParams, Technology};
 use memsim_workloads::WorkloadKind;
@@ -30,13 +29,8 @@ pub struct ExperimentCtx<'a> {
     /// Journal/resume/interrupt state shared across the suite (None =
     /// plain run, no checkpointing).
     pub sweep: Option<&'a SweepCtx>,
-    /// Which engine walks each structure simulation (results are
-    /// engine-independent; this is a throughput choice).
-    pub engine: Engine,
-    /// Interval sampling mode: `Off` runs every event; `On` simulates
-    /// one representative interval per cluster and extrapolates (results
-    /// carry confidence intervals).
-    pub sample: SampleMode,
+    /// How each structure simulation runs (engine and sampling mode).
+    pub opts: RunOpts,
 }
 
 impl<'a> ExperimentCtx<'a> {
@@ -48,8 +42,7 @@ impl<'a> ExperimentCtx<'a> {
             cache,
             threads: None,
             sweep: None,
-            engine: Engine::Sequential,
-            sample: SampleMode::Off,
+            opts: RunOpts::default(),
         }
     }
 
@@ -66,48 +59,24 @@ impl<'a> ExperimentCtx<'a> {
         self.sweep = Some(sweep);
         self
     }
-
-    /// Choose the simulation engine (default sequential).
-    pub fn with_engine(mut self, engine: Engine) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// Choose the sampling mode (default off = full fidelity).
-    pub fn with_sample(mut self, sample: SampleMode) -> Self {
-        self.sample = sample;
-        self
-    }
 }
 
 /// Run a grid under the context's sweep state and lift the outcome into a
-/// `Result`: an interrupt wins over failures (the journal already holds
-/// both kinds of entry), and failures abort the *artifact* while every
-/// surviving point remains journaled for the next attempt.
+/// `Result`: failures abort the *artifact* while every surviving point
+/// remains journaled for the next attempt.
 fn grid_or_err(
     ctx: &ExperimentCtx,
     points: &[(WorkloadKind, Design)],
 ) -> Result<Vec<EvalResult>, SweepError> {
-    let outcome = evaluate_grid_sweep_sampled(
+    evaluate_grid(
         points,
         &ctx.scale,
         ctx.cache,
         ctx.threads,
         ctx.sweep,
-        ctx.engine,
-        ctx.sample,
-    );
-    if outcome.interrupted {
-        return Err(SweepError::Interrupted);
-    }
-    if !outcome.failures.is_empty() {
-        return Err(SweepError::Failed(outcome.failures));
-    }
-    Ok(outcome
-        .results
-        .into_iter()
-        .map(|slot| slot.expect("missing result"))
-        .collect())
+        &ctx.opts,
+    )
+    .result()
 }
 
 /// Which normalized metric a figure plots.
@@ -165,23 +134,36 @@ pub fn norm_grid(
     Ok(out)
 }
 
+/// One series per `(name, designs)` family, with one design per x point:
+/// every design is evaluated (x-major, in one grid) and its normalized
+/// `metric` averaged over the benchmarks.
 fn averaged_series(
     ctx: &ExperimentCtx,
-    grid: &HashMap<(WorkloadKind, String), NormMetrics>,
-    labels: &[String],
     metric: Metric,
-) -> Vec<f64> {
-    labels
-        .iter()
-        .map(|l| {
-            let norms: Vec<NormMetrics> = ctx
-                .workloads
+    families: Vec<(String, Vec<Design>)>,
+) -> Result<Vec<Series>, SweepError> {
+    let xs = families.first().map_or(0, |(_, f)| f.len());
+    let designs: Vec<Design> = (0..xs)
+        .flat_map(|x| families.iter().map(move |(_, f)| f[x]))
+        .collect();
+    let grid = norm_grid(ctx, &designs)?;
+    Ok(families
+        .into_iter()
+        .map(|(name, family)| Series {
+            name,
+            values: family
                 .iter()
-                .map(|w| grid[&(*w, l.clone())])
-                .collect();
-            metric.pick(&NormMetrics::mean(&norms))
+                .map(|d| {
+                    let norms: Vec<NormMetrics> = ctx
+                        .workloads
+                        .iter()
+                        .map(|w| grid[&(*w, d.label())])
+                        .collect();
+                    metric.pick(&NormMetrics::mean(&norms))
+                })
+                .collect(),
         })
-        .collect()
+        .collect())
 }
 
 /// Table 1: the technology characterization (verbatim from `memsim-tech`).
@@ -244,34 +226,17 @@ pub fn table4(ctx: &ExperimentCtx) -> Result<FigureData, SweepError> {
 /// Figures 1 and 2: NMM normalized runtime/energy across N1–N9, averaged
 /// over the benchmarks, one series per NVM technology.
 pub fn fig_nmm(ctx: &ExperimentCtx, metric: Metric) -> Result<FigureData, SweepError> {
-    let designs: Vec<Design> = n_configs()
-        .iter()
-        .flat_map(|c| {
-            Technology::NVM.iter().map(|t| Design::Nmm {
-                nvm: *t,
-                config: *c,
-            })
-        })
-        .collect();
-    let grid = norm_grid(ctx, &designs)?;
-    let x_labels: Vec<String> = n_configs().iter().map(|c| c.name.to_string()).collect();
-    let series = Technology::NVM
+    let families = Technology::NVM
         .iter()
         .map(|t| {
-            let labels: Vec<String> = n_configs()
+            let designs = n_configs()
                 .iter()
-                .map(|c| {
-                    Design::Nmm {
-                        nvm: *t,
-                        config: *c,
-                    }
-                    .label()
+                .map(|c| Design::Nmm {
+                    nvm: *t,
+                    config: *c,
                 })
                 .collect();
-            Series {
-                name: t.name().into(),
-                values: averaged_series(ctx, &grid, &labels, metric),
-            }
+            (t.name().to_string(), designs)
         })
         .collect();
     let (id, what) = match metric {
@@ -282,42 +247,25 @@ pub fn fig_nmm(ctx: &ExperimentCtx, metric: Metric) -> Result<FigureData, SweepE
     Ok(FigureData {
         id: id.into(),
         title: format!("Average of normalized {what} of all benchmarks for NMM"),
-        x_labels,
-        series,
+        x_labels: n_configs().iter().map(|c| c.name.to_string()).collect(),
+        series: averaged_series(ctx, metric, families)?,
     })
 }
 
 /// Figures 3 and 4: 4LC normalized runtime/energy across EH1–EH8, one
 /// series per LLC technology.
 pub fn fig_4lc(ctx: &ExperimentCtx, metric: Metric) -> Result<FigureData, SweepError> {
-    let designs: Vec<Design> = eh_configs()
-        .iter()
-        .flat_map(|c| {
-            Technology::FAST_LLC.iter().map(|t| Design::FourLc {
-                llc: *t,
-                config: *c,
-            })
-        })
-        .collect();
-    let grid = norm_grid(ctx, &designs)?;
-    let x_labels: Vec<String> = eh_configs().iter().map(|c| c.name.to_string()).collect();
-    let series = Technology::FAST_LLC
+    let families = Technology::FAST_LLC
         .iter()
         .map(|t| {
-            let labels: Vec<String> = eh_configs()
+            let designs = eh_configs()
                 .iter()
-                .map(|c| {
-                    Design::FourLc {
-                        llc: *t,
-                        config: *c,
-                    }
-                    .label()
+                .map(|c| Design::FourLc {
+                    llc: *t,
+                    config: *c,
                 })
                 .collect();
-            Series {
-                name: t.name().into(),
-                values: averaged_series(ctx, &grid, &labels, metric),
-            }
+            (t.name().to_string(), designs)
         })
         .collect();
     let (id, what) = match metric {
@@ -328,8 +276,8 @@ pub fn fig_4lc(ctx: &ExperimentCtx, metric: Metric) -> Result<FigureData, SweepE
     Ok(FigureData {
         id: id.into(),
         title: format!("Average of normalized {what} of all benchmarks for 4LC"),
-        x_labels,
-        series,
+        x_labels: eh_configs().iter().map(|c| c.name.to_string()).collect(),
+        series: averaged_series(ctx, metric, families)?,
     })
 }
 
@@ -337,42 +285,24 @@ pub fn fig_4lc(ctx: &ExperimentCtx, metric: Metric) -> Result<FigureData, SweepE
 /// series cover both LLC technologies with PCM plus eDRAM with the other
 /// NVMs.
 pub fn fig_4lcnvm(ctx: &ExperimentCtx, metric: Metric) -> Result<FigureData, SweepError> {
-    let combos: Vec<(Technology, Technology)> = vec![
+    let combos = [
         (Technology::Edram, Technology::Pcm),
         (Technology::Hmc, Technology::Pcm),
         (Technology::Edram, Technology::SttRam),
         (Technology::Edram, Technology::FeRam),
     ];
-    let designs: Vec<Design> = eh_configs()
-        .iter()
-        .flat_map(|c| {
-            combos.iter().map(|(l, n)| Design::FourLcNvm {
-                llc: *l,
-                nvm: *n,
-                config: *c,
-            })
-        })
-        .collect();
-    let grid = norm_grid(ctx, &designs)?;
-    let x_labels: Vec<String> = eh_configs().iter().map(|c| c.name.to_string()).collect();
-    let series = combos
+    let families = combos
         .iter()
         .map(|(l, n)| {
-            let labels: Vec<String> = eh_configs()
+            let designs = eh_configs()
                 .iter()
-                .map(|c| {
-                    Design::FourLcNvm {
-                        llc: *l,
-                        nvm: *n,
-                        config: *c,
-                    }
-                    .label()
+                .map(|c| Design::FourLcNvm {
+                    llc: *l,
+                    nvm: *n,
+                    config: *c,
                 })
                 .collect();
-            Series {
-                name: format!("{}+{}", l.name(), n.name()),
-                values: averaged_series(ctx, &grid, &labels, metric),
-            }
+            (format!("{}+{}", l.name(), n.name()), designs)
         })
         .collect();
     let (id, what) = match metric {
@@ -383,8 +313,8 @@ pub fn fig_4lcnvm(ctx: &ExperimentCtx, metric: Metric) -> Result<FigureData, Swe
     Ok(FigureData {
         id: id.into(),
         title: format!("Average of normalized {what} of all benchmarks for 4LCNVM"),
-        x_labels,
-        series,
+        x_labels: eh_configs().iter().map(|c| c.name.to_string()).collect(),
+        series: averaged_series(ctx, metric, families)?,
     })
 }
 
@@ -427,33 +357,13 @@ pub fn fig_ndm(ctx: &ExperimentCtx, metric: Metric) -> Result<FigureData, SweepE
 /// Figure 9: the runtime heat map over read/write latency multipliers.
 pub fn fig9(ctx: &ExperimentCtx) -> Result<HeatmapData, SweepError> {
     let m = default_multipliers();
-    heatmap_sampled(
-        &ctx.workloads,
-        &ctx.scale,
-        ctx.cache,
-        Axis::Latency,
-        &m,
-        &m,
-        ctx.sweep,
-        ctx.engine,
-        ctx.sample,
-    )
+    heatmap(ctx, Axis::Latency, &m, &m)
 }
 
 /// Figure 10: the energy heat map over read/write energy multipliers.
 pub fn fig10(ctx: &ExperimentCtx) -> Result<HeatmapData, SweepError> {
     let m = default_multipliers();
-    heatmap_sampled(
-        &ctx.workloads,
-        &ctx.scale,
-        ctx.cache,
-        Axis::Energy,
-        &m,
-        &m,
-        ctx.sweep,
-        ctx.engine,
-        ctx.sample,
-    )
+    heatmap(ctx, Axis::Energy, &m, &m)
 }
 
 #[cfg(test)]

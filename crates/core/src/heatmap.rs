@@ -8,14 +8,12 @@
 
 use crate::configs::n_by_name;
 use crate::design::{sram_costs, Design, MEM_NAME};
+use crate::experiments::ExperimentCtx;
 use crate::journal::SweepCtx;
 use crate::model::{LevelCost, Metrics};
-use crate::runner::{sweep_point_sampled, Engine, SimCache, SweepError};
-use crate::sampling::SampleMode;
-use crate::scale::Scale;
+use crate::runner::{sweep_point, SweepError};
 use memsim_cache::LevelStats;
 use memsim_tech::{Multipliers, TechParams, Technology};
-use memsim_workloads::WorkloadKind;
 
 /// Which per-operation cost the two heat-map axes scale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,55 +50,26 @@ pub fn default_multipliers() -> Vec<f64> {
     vec![1.0, 2.0, 5.0, 10.0, 15.0, 20.0]
 }
 
-/// Compute a heat map for `axis`, averaging over `kinds`.
+/// Compute a heat map for `axis`, averaging over the context's
+/// workloads.
 ///
 /// The hypothetical memory is DRAM with the given axis scaled; the DRAM
 /// page cache stays real DRAM; the hierarchy is the paper's NMM at N6
 /// (512 MB, 512 B pages).
 ///
 /// The two simulated points per workload (baseline and NMM@N6) go through
-/// [`sweep_point`], so with a sweep context they are journaled, served
-/// from `--resume`, and panic-isolated like grid points; an armed
-/// interrupt stops between workloads.
-#[allow(clippy::too_many_arguments)]
+/// the sweep-point path under the context's run options, so with a sweep
+/// context they are journaled, served from `--resume`, and panic-isolated
+/// like grid points; an armed interrupt stops between workloads. With
+/// sampling on, both come from the interval-sampled walk (extrapolated
+/// counters), and every cell is costed from those.
 pub fn heatmap(
-    kinds: &[WorkloadKind],
-    scale: &Scale,
-    cache: &SimCache,
+    ctx: &ExperimentCtx,
     axis: Axis,
     read_mults: &[f64],
     write_mults: &[f64],
-    sweep: Option<&SweepCtx>,
-    engine: Engine,
 ) -> Result<HeatmapData, SweepError> {
-    heatmap_sampled(
-        kinds,
-        scale,
-        cache,
-        axis,
-        read_mults,
-        write_mults,
-        sweep,
-        engine,
-        SampleMode::Off,
-    )
-}
-
-/// [`heatmap`] with an explicit sampling mode: with sampling on, the two
-/// simulated points per workload come from the interval-sampled replay
-/// (extrapolated counters), and every cell is costed from those.
-#[allow(clippy::too_many_arguments)]
-pub fn heatmap_sampled(
-    kinds: &[WorkloadKind],
-    scale: &Scale,
-    cache: &SimCache,
-    axis: Axis,
-    read_mults: &[f64],
-    write_mults: &[f64],
-    sweep: Option<&SweepCtx>,
-    engine: Engine,
-    sample: SampleMode,
-) -> Result<HeatmapData, SweepError> {
+    let (kinds, scale, sweep) = (&ctx.workloads, &ctx.scale, ctx.sweep);
     let n6 = n_by_name("N6").expect("N6 exists");
     let mut grid = vec![vec![0.0f64; read_mults.len()]; write_mults.len()];
     let mut failures = Vec::new();
@@ -109,28 +78,13 @@ pub fn heatmap_sampled(
             return Err(SweepError::Interrupted);
         }
         // one simulation (structure of NMM@N6) + baseline per workload
-        let pair = sweep_point_sampled(
-            *kind,
-            scale,
-            &Design::Baseline,
-            cache,
-            sweep,
-            engine,
-            sample,
-        )
-        .and_then(|base| {
-            sweep_point_sampled(
-                *kind,
-                scale,
-                &Design::Nmm {
-                    nvm: Technology::Pcm,
-                    config: n6,
-                },
-                cache,
-                sweep,
-                engine,
-                sample,
-            )
+        let point =
+            |design: &Design| sweep_point(*kind, scale, design, ctx.cache, sweep, &ctx.opts);
+        let pair = point(&Design::Baseline).and_then(|base| {
+            point(&Design::Nmm {
+                nvm: Technology::Pcm,
+                config: n6,
+            })
             .map(|nmm| (base, nmm))
         });
         let (base, nmm) = match pair {
@@ -190,20 +144,14 @@ pub fn heatmap_sampled(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::SimCache;
+    use crate::scale::Scale;
+    use memsim_workloads::WorkloadKind;
 
     fn quick_map(axis: Axis) -> HeatmapData {
         let cache = SimCache::new();
-        heatmap(
-            &[WorkloadKind::Cg],
-            &Scale::mini(),
-            &cache,
-            axis,
-            &[1.0, 5.0, 20.0],
-            &[1.0, 5.0, 20.0],
-            None,
-            Engine::Sequential,
-        )
-        .unwrap()
+        let ctx = ExperimentCtx::new(Scale::mini(), &cache).with_workloads(&[WorkloadKind::Cg]);
+        heatmap(&ctx, axis, &[1.0, 5.0, 20.0], &[1.0, 5.0, 20.0]).unwrap()
     }
 
     #[test]
@@ -275,17 +223,8 @@ mod tests {
         // monotone maximum of the whole map.
         let cache = SimCache::new();
         let ladder = [1.0, 20.0, 1000.0];
-        let m = heatmap(
-            &[WorkloadKind::Cg],
-            &Scale::mini(),
-            &cache,
-            Axis::Latency,
-            &ladder,
-            &ladder,
-            None,
-            Engine::Sequential,
-        )
-        .unwrap();
+        let ctx = ExperimentCtx::new(Scale::mini(), &cache).with_workloads(&[WorkloadKind::Cg]);
+        let m = heatmap(&ctx, Axis::Latency, &ladder, &ladder).unwrap();
         assert_eq!(m.grid.len(), ladder.len());
         for row in &m.grid {
             assert_eq!(row.len(), ladder.len());

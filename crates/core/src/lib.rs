@@ -11,9 +11,11 @@
 //!   4LC, NMM, 4LCNVM, and NDM.
 //! * [`model`] — Equations 1–4: AMAT-scaled runtime, dynamic energy
 //!   (pJ/bit × bits moved), capacity-proportional static energy, EDP.
-//! * [`runner`] — simulates a workload through a hierarchy *structure* once
-//!   and costs any number of technology assignments analytically (cache
-//!   statistics do not depend on latency/energy parameters).
+//! * [`runner`] — walks a workload (live or from a recorded trace) through
+//!   a hierarchy *structure* once with [`walk`], and costs any number of
+//!   technology assignments analytically (cache statistics do not depend
+//!   on latency/energy parameters). One [`RunOpts`] value picks the engine
+//!   and the sampling mode for every job that simulates.
 //! * [`sampling`] — interval-sampled simulation: cluster the stream's
 //!   intervals by locality signature, simulate one representative per
 //!   cluster, extrapolate with per-metric confidence intervals.
@@ -27,15 +29,17 @@
 //! # Example: one design point
 //!
 //! ```
-//! use memsim_core::{Design, Scale, runner};
+//! use memsim_core::{evaluate, Design, RunOpts, Scale, SimCache};
 //! use memsim_core::configs::n_configs;
 //! use memsim_tech::Technology;
 //! use memsim_workloads::WorkloadKind;
 //!
 //! let scale = Scale::mini();
+//! let cache = SimCache::new();
+//! let opts = RunOpts::default(); // sequential engine, full fidelity
 //! let design = Design::Nmm { nvm: Technology::Pcm, config: n_configs()[4] }; // N5
-//! let result = runner::evaluate(WorkloadKind::Cg, &scale, &design);
-//! let base = runner::evaluate(WorkloadKind::Cg, &scale, &Design::Baseline);
+//! let result = evaluate(WorkloadKind::Cg, &scale, &design, &cache, &opts);
+//! let base = evaluate(WorkloadKind::Cg, &scale, &Design::Baseline, &cache, &opts);
 //! let norm = result.metrics.normalized_to(&base.metrics);
 //! assert!(norm.time > 0.5 && norm.time < 2.0);
 //! ```
@@ -61,20 +65,12 @@ mod scale;
 
 pub use artifacts::{build_artifact, named_designs, parse_design_list, ARTIFACT_NAMES};
 pub use design::{Design, Structure};
-pub use journal::{
-    sweep_fingerprint, sweep_fingerprint_sampled, JournalRecovery, SweepCtx, SweepJournal,
-    JOURNAL_FILE,
-};
+pub use journal::{sweep_fingerprint, JournalRecovery, SweepCtx, JOURNAL_FILE};
 pub use model::{breakdown, LevelBreakdown, LevelCost, Metrics, NormMetrics};
-pub use replay::{
-    record_workload, replay_grid, replay_grid_engine, replay_grid_robust,
-    replay_grid_robust_engine, replay_grid_robust_sampled, replay_structure,
-    replay_structure_engine, RecordSummary, ReplayFailure, ReplayOutcome,
-};
+pub use replay::{record_workload, replay_grid, RecordSummary, ReplayFailure, ReplayOutcome};
 pub use runner::{
-    evaluate, simulate_structure, simulate_structure_engine, simulate_structure_sampled,
-    sweep_point, sweep_point_engine, sweep_point_sampled, Engine, EvalResult, FailedPoint,
-    GridOutcome, RawRun, SimCache, SweepError,
+    evaluate, evaluate_grid, walk, Engine, EvalResult, FailedPoint, GridOutcome, RawRun, RunOpts,
+    SimCache, Source, SweepError,
 };
 pub use sampling::{SampleCi, SampleMode, SamplePlan, SampleSpec, Warmup};
 pub use scale::Scale;

@@ -209,11 +209,18 @@ pub fn oracle_with(
 mod tests {
     use super::*;
     use crate::design::Structure;
-    use crate::runner::simulate_structure;
+    use crate::runner::{walk, RunOpts, Source};
     use memsim_workloads::WorkloadKind;
 
     fn run() -> RawRun {
-        simulate_structure(WorkloadKind::Cg, &Scale::mini(), &Structure::ThreeLevel)
+        let cg = Source::Live(WorkloadKind::Cg);
+        walk(
+            cg,
+            &Scale::mini(),
+            &Structure::ThreeLevel,
+            &RunOpts::default(),
+        )
+        .unwrap()
     }
 
     #[test]

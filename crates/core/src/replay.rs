@@ -13,18 +13,14 @@
 
 use crate::design::{Design, Structure};
 use crate::runner::{
-    build_caches, evaluate_run, raw_run_from_hierarchy, raw_run_from_parts, Engine, EvalResult,
-    RawRun,
+    catch_panic, evaluate_run, parallel_slots, walk_as, EvalResult, RawRun, RunOpts, Source,
 };
-use crate::sampling::{plan_for, replay_structure_sampled, SampleMode};
+use crate::sampling::{plan_for, SampleMode};
 use crate::scale::Scale;
-use memsim_cache::{Hierarchy, HierarchyProbes, ShardedHierarchy};
-use memsim_memory::PartitionedMemory;
-use memsim_tech::Technology;
-use memsim_tracefile::{replay_into, TraceError, TraceHeader, TraceReader, TraceWriter};
+use memsim_tracefile::{TraceHeader, TraceReader, TraceWriter};
 use memsim_workloads::{Class, WorkloadKind};
 use std::path::Path;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// What [`record_workload`] wrote.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -103,114 +99,6 @@ pub fn record_workload(
     })
 }
 
-/// Replay the trace at `path` through `structure`'s hierarchy at `scale`.
-///
-/// The terminal memory's region table comes from the trace header, so
-/// per-region traffic (the NDM oracle's input) is attributed exactly as
-/// in the live run.
-pub fn replay_structure(
-    path: &Path,
-    scale: &Scale,
-    structure: &Structure,
-) -> Result<RawRun, TraceError> {
-    replay_structure_shard(path, scale, structure, None, Engine::Sequential)
-}
-
-/// [`replay_structure`] with an explicit engine: the set-sharded engine
-/// fans the file's 4096-event chunks out across its workers and merges at
-/// drain, producing the same [`RawRun`] counters as the sequential walk.
-pub fn replay_structure_engine(
-    path: &Path,
-    scale: &Scale,
-    structure: &Structure,
-    engine: Engine,
-) -> Result<RawRun, TraceError> {
-    replay_structure_shard(path, scale, structure, None, engine)
-}
-
-/// [`replay_structure`] with observability shard attribution: `shard`
-/// names this walk's `progress.shard{i}.events` counter and span, so the
-/// sampler can show per-shard lag across `replay_grid` workers. (With the
-/// set-sharded engine the engine's own per-shard counters take over that
-/// role instead.)
-fn replay_structure_shard(
-    path: &Path,
-    scale: &Scale,
-    structure: &Structure,
-    shard: Option<usize>,
-    engine: Engine,
-) -> Result<RawRun, TraceError> {
-    let mut span = match shard {
-        Some(i) => memsim_obs::span!("replay.shard{}", i),
-        None => memsim_obs::span!("replay.walk"),
-    };
-    let obs_prefix = memsim_obs::enabled().then(|| format!("replay.{}", structure.obs_label()));
-
-    let mut reader = TraceReader::open(path)?;
-    let regions = reader.header().regions.clone();
-    let caches = build_caches(scale, structure);
-    let terminal = PartitionedMemory::new(&regions, Technology::Pcm);
-
-    if let Engine::Sharded(shards) = engine {
-        let mut sharded = ShardedHierarchy::new(caches, terminal, shards, obs_prefix.as_deref());
-        replay_into(&mut reader, &mut sharded)?;
-        let run = sharded.finish();
-        if let Some(prefix) = &obs_prefix {
-            let reg = memsim_obs::global();
-            let store = |field: &str, v: u64| {
-                reg.counter(&format!("{prefix}.reader.{field}")).store(v);
-            };
-            store("chunks", reader.chunks_read());
-            store("crc_verified_chunks", reader.crc_verified_chunks());
-            store("payload_bytes", reader.payload_bytes());
-        }
-        span.add_events(run.total_refs);
-        return Ok(raw_run_from_parts(
-            run.levels,
-            run.memory,
-            &regions,
-            run.total_refs,
-            obs_prefix.as_deref(),
-        ));
-    }
-
-    let mut hierarchy = Hierarchy::new(caches, terminal);
-    if let Some(prefix) = &obs_prefix {
-        let reg = memsim_obs::global();
-        let names: Vec<String> = hierarchy
-            .levels()
-            .iter()
-            .map(|c| c.config().name.clone())
-            .collect();
-        let names: Vec<&str> = names.iter().map(String::as_str).collect();
-        let mut probes = HierarchyProbes::register(reg, prefix, &names);
-        if let Some(i) = shard {
-            probes.add_events_counter(reg.counter(&format!("progress.shard{i}.events")));
-        }
-        hierarchy.set_probes(probes);
-    }
-    replay_into(&mut reader, &mut hierarchy)?;
-    hierarchy.drain();
-    hierarchy.assert_consistent();
-    if let Some(prefix) = &obs_prefix {
-        // Trace-health counters from the reader: every chunk that reached
-        // the sink passed its CRC check.
-        let reg = memsim_obs::global();
-        let store = |field: &str, v: u64| {
-            reg.counter(&format!("{prefix}.reader.{field}")).store(v);
-        };
-        store("chunks", reader.chunks_read());
-        store("crc_verified_chunks", reader.crc_verified_chunks());
-        store("payload_bytes", reader.payload_bytes());
-    }
-    span.add_events(hierarchy.total_refs());
-    Ok(raw_run_from_hierarchy(
-        hierarchy,
-        &regions,
-        obs_prefix.as_deref(),
-    ))
-}
-
 /// The workload a trace records, parsed from its header.
 pub fn trace_workload(path: &Path) -> Result<WorkloadKind, String> {
     let reader = TraceReader::open(path).map_err(|e| e.to_string())?;
@@ -249,7 +137,7 @@ impl std::fmt::Display for ReplayFailure {
     }
 }
 
-/// What a fault-isolated [`replay_grid_robust`] produced: results for every
+/// What a fault-isolated [`replay_grid`] produced: results for every
 /// design whose structure replayed cleanly, plus the per-structure
 /// failures.
 #[derive(Debug)]
@@ -260,63 +148,54 @@ pub struct ReplayOutcome {
     pub failures: Vec<ReplayFailure>,
 }
 
+impl ReplayOutcome {
+    /// Every design's result, or an `Err` naming every stranded
+    /// structure and design when any shard failed.
+    pub fn strict(self) -> Result<Vec<EvalResult>, String> {
+        if !self.failures.is_empty() {
+            let list: Vec<String> = self.failures.iter().map(ReplayFailure::to_string).collect();
+            return Err(format!(
+                "{} replay shard(s) failed: {}",
+                self.failures.len(),
+                list.join("; ")
+            ));
+        }
+        Ok(self.results)
+    }
+}
+
 /// Evaluate a grid of designs against one recorded trace, sharded in
 /// parallel: the distinct hierarchy *structures* among `designs` are
-/// replayed concurrently (each worker streams the file independently, so
-/// there is no shared decode state to contend on), then every design is
-/// costed analytically from its structure's replayed run — the same
-/// two-phase split as the live `evaluate_grid`, with the workload
-/// execution replaced by a trace walk.
+/// walked concurrently under `opts` (each worker streams the file
+/// independently, so there is no shared decode state to contend on), then
+/// every design is costed analytically from its structure's run — the
+/// same two-phase split as the live [`crate::runner::evaluate_grid`], with
+/// the workload execution replaced by a trace walk. With sampling on,
+/// each walk simulates one representative interval per cluster of the
+/// trace (per the shared [`crate::SamplePlan`]) and extrapolates.
 ///
 /// Fault-isolated: a shard that fails to decode (corrupt chunk, truncated
 /// file mid-walk) or panics strands only the designs sharing its
 /// structure; every other shard completes and its designs are costed.
-/// Errors that precede the walk (unreadable header, invalid design) still
-/// fail the whole call.
-pub fn replay_grid_robust(
+/// Errors that precede the walk (unreadable header, invalid design, a
+/// sample plan that cannot be built) still fail the whole call;
+/// [`ReplayOutcome::strict`] fails it on any stranded design too.
+pub fn replay_grid(
     path: &Path,
     designs: &[Design],
     scale: &Scale,
     threads: Option<usize>,
-) -> Result<ReplayOutcome, String> {
-    replay_grid_robust_engine(path, designs, scale, threads, Engine::Sequential)
-}
-
-/// [`replay_grid_robust`] with an explicit engine for each structure's
-/// trace walk.
-pub fn replay_grid_robust_engine(
-    path: &Path,
-    designs: &[Design],
-    scale: &Scale,
-    threads: Option<usize>,
-    engine: Engine,
-) -> Result<ReplayOutcome, String> {
-    replay_grid_robust_sampled(path, designs, scale, threads, engine, SampleMode::Off)
-}
-
-/// [`replay_grid_robust`] with an explicit engine and sampling mode: with
-/// sampling on, each structure's walk simulates one representative
-/// interval per cluster of the trace (per the shared [`SamplePlan`]) and
-/// extrapolates, instead of walking every event. The plan is built once
-/// per (trace, spec) and shared by every worker; a plan that cannot be
-/// built fails the whole call, like an unreadable header.
-pub fn replay_grid_robust_sampled(
-    path: &Path,
-    designs: &[Design],
-    scale: &Scale,
-    threads: Option<usize>,
-    engine: Engine,
-    sample: SampleMode,
+    opts: &RunOpts,
 ) -> Result<ReplayOutcome, String> {
     let _span = memsim_obs::span!("replay");
     for d in designs {
         d.validate()?;
     }
     let kind = trace_workload(path)?;
-    let plan = match sample {
-        SampleMode::Off => None,
-        SampleMode::On(spec) => Some(plan_for(path, spec)?),
-    };
+    if let SampleMode::On(spec) = opts.sample {
+        // built once per (trace, spec) and shared by every worker's walk
+        plan_for(path, spec)?;
+    }
 
     // distinct structures, in first-appearance order
     let mut structures: Vec<Structure> = Vec::new();
@@ -337,56 +216,30 @@ pub fn replay_grid_robust_sampled(
         reg.counter("progress.shards_done");
     }
 
-    let threads = threads
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4)
-        })
-        .clamp(1, structures.len().max(1));
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let slots: Vec<OnceLock<Result<Arc<RawRun>, String>>> =
-        (0..structures.len()).map(|_| OnceLock::new()).collect();
-    std::thread::scope(|s| {
-        for w in 0..threads {
-            // Named so flight-recorder lanes are stable and readable.
-            let worker = || loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= structures.len() {
-                    break;
-                }
-                // Isolate panics per shard for the same reason as the live
-                // grid: an unwinding worker must not take the completed
-                // shards' results down with the scope.
-                let run =
-                    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match &plan {
-                        Some(plan) => replay_structure_sampled(path, scale, &structures[i], plan),
-                        None => {
-                            replay_structure_shard(path, scale, &structures[i], Some(i), engine)
-                        }
-                    })) {
-                        Ok(Ok(run)) => Ok(Arc::new(run)),
-                        Ok(Err(e)) => Err(e.to_string()),
-                        Err(payload) => Err(format!(
-                            "shard panicked: {}",
-                            crate::runner::panic_message(payload)
-                        )),
-                    };
-                slots[i].set(run).expect("replay slot written twice");
-                if obs_on {
-                    memsim_obs::global().counter("progress.shards_done").inc();
-                }
+    let runs: Vec<Result<Arc<RawRun>, String>> = parallel_slots(
+        "memsim-replay",
+        structures.len(),
+        threads,
+        || false,
+        |i| {
+            // Isolate panics per shard for the same reason as the live
+            // grid: one bad shard must not take the others down.
+            let run = match catch_panic(|| {
+                walk_as(Source::Trace(path), scale, &structures[i], opts, Some(i))
+            }) {
+                Ok(Ok(run)) => Ok(Arc::new(run)),
+                Ok(Err(e)) => Err(e),
+                Err(message) => Err(format!("shard panicked: {message}")),
             };
-            std::thread::Builder::new()
-                .name(format!("memsim-replay{w}"))
-                .spawn_scoped(s, worker)
-                .expect("spawn replay worker");
-        }
-    });
-    let runs: Vec<Result<Arc<RawRun>, String>> = slots
-        .into_iter()
-        .map(|slot| slot.into_inner().expect("missing replay result"))
-        .collect();
+            if obs_on {
+                memsim_obs::global().counter("progress.shards_done").inc();
+            }
+            run
+        },
+    )
+    .into_iter()
+    .map(|slot| slot.expect("missing replay result"))
+    .collect();
 
     let mut results = Vec::new();
     let mut failures: Vec<ReplayFailure> = Vec::new();
@@ -415,45 +268,11 @@ pub fn replay_grid_robust_sampled(
     Ok(ReplayOutcome { results, failures })
 }
 
-/// Strict [`replay_grid_robust`]: any failed shard turns the whole grid
-/// into an `Err` naming every stranded structure and design.
-pub fn replay_grid(
-    path: &Path,
-    designs: &[Design],
-    scale: &Scale,
-    threads: Option<usize>,
-) -> Result<Vec<EvalResult>, String> {
-    replay_grid_engine(path, designs, scale, threads, Engine::Sequential)
-}
-
-/// Strict [`replay_grid`] with an explicit engine choice.
-pub fn replay_grid_engine(
-    path: &Path,
-    designs: &[Design],
-    scale: &Scale,
-    threads: Option<usize>,
-    engine: Engine,
-) -> Result<Vec<EvalResult>, String> {
-    let outcome = replay_grid_robust_engine(path, designs, scale, threads, engine)?;
-    if !outcome.failures.is_empty() {
-        let list: Vec<String> = outcome
-            .failures
-            .iter()
-            .map(ReplayFailure::to_string)
-            .collect();
-        return Err(format!(
-            "{} replay shard(s) failed: {}",
-            outcome.failures.len(),
-            list.join("; ")
-        ));
-    }
-    Ok(outcome.results)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::configs::n_configs;
+    use memsim_tech::Technology;
     use std::path::PathBuf;
 
     fn temp_trace(name: &str) -> PathBuf {
@@ -479,11 +298,14 @@ mod tests {
                 config: n_configs()[0],
             },
         ];
-        let replayed = replay_grid(&path, &designs, &scale, Some(2)).unwrap();
+        let opts = RunOpts::default();
+        let replayed = replay_grid(&path, &designs, &scale, Some(2), &opts)
+            .and_then(ReplayOutcome::strict)
+            .unwrap();
 
         let cache = crate::runner::SimCache::new();
         for (r, d) in replayed.iter().zip(&designs) {
-            let live = crate::runner::evaluate_cached(WorkloadKind::Hash, &scale, d, &cache);
+            let live = crate::runner::evaluate(WorkloadKind::Hash, &scale, d, &cache, &opts);
             assert_eq!(r.workload, WorkloadKind::Hash);
             assert_eq!(r.run.caches, live.run.caches, "{}", d.label());
             assert_eq!(r.run.mem, live.run.mem, "{}", d.label());
@@ -499,9 +321,14 @@ mod tests {
         let path = temp_trace("hash-sharded.trace");
         record_workload(WorkloadKind::Hash, Class::Mini, &path).unwrap();
         let st = Structure::ThreeLevel;
-        let seq = replay_structure(&path, &scale, &st).unwrap();
+        let trace = Source::Trace(&path);
+        let seq = crate::runner::walk(trace, &scale, &st, &RunOpts::default()).unwrap();
         for shards in [2usize, 7] {
-            let sh = replay_structure_engine(&path, &scale, &st, Engine::Sharded(shards)).unwrap();
+            let opts = RunOpts {
+                engine: crate::runner::Engine::Sharded(shards),
+                ..RunOpts::default()
+            };
+            let sh = crate::runner::walk(trace, &scale, &st, &opts).unwrap();
             assert_eq!(sh.caches, seq.caches, "shards={shards}");
             assert_eq!(sh.mem, seq.mem, "shards={shards}");
             assert_eq!(sh.per_region, seq.per_region, "shards={shards}");
@@ -518,6 +345,7 @@ mod tests {
             &[Design::Baseline],
             &scale,
             None,
+            &RunOpts::default(),
         )
         .unwrap_err();
         assert!(err.contains("I/O error"), "{err}");

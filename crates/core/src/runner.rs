@@ -6,16 +6,25 @@
 //! a [`Structure`] serves every technology assignment that shares it. The
 //! paper's whole grid (9 N-configs × 3 NVMs, 8 EH-configs × 2 LLCs × 3
 //! NVMs, NDM × 3 NVMs, heat maps) reduces to 18 simulations per workload.
+//!
+//! Every simulation goes through [`walk`], over a live workload or a
+//! recorded trace ([`Source`]), full-fidelity on either engine or
+//! interval-sampled, as one [`RunOpts`] value chooses.
 
 use crate::design::{Design, Structure, MEM_NAME};
+use crate::journal::SweepCtx;
 use crate::model::Metrics;
 use crate::partition::{self, Placement};
+use crate::sampling::{self, SampleMode};
 use crate::scale::Scale;
 use memsim_cache::{Cache, CacheConfig, Hierarchy, HierarchyProbes, LevelStats, ShardedHierarchy};
 use memsim_memory::{PartitionedMemory, RegionTraffic};
 use memsim_tech::Technology;
+use memsim_trace::{Region, TraceSink};
+use memsim_tracefile::{replay_into, TraceError, TraceReader};
 use memsim_workloads::WorkloadKind;
 use std::collections::HashMap;
+use std::path::Path;
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// The raw output of one workload × structure simulation.
@@ -79,6 +88,22 @@ impl Engine {
         }
     }
 
+    /// Parse the `--shards` grammar shared by the CLI and the server's
+    /// job spec: "auto" picks for this host, "seq" forces the sequential
+    /// engine, N >= 1 requests that many set shards. Zero is rejected (a
+    /// zero-worker engine cannot make progress).
+    pub fn parse(spec: &str) -> Result<Engine, String> {
+        match spec {
+            "auto" => Ok(Engine::auto()),
+            "seq" => Ok(Engine::Sequential),
+            n => match n.parse::<usize>() {
+                Ok(0) => Err("--shards must be at least 1 (or 'auto'/'seq')".into()),
+                Ok(n) => Ok(Engine::Sharded(n)),
+                Err(_) => Err(format!("bad shard count '{n}' (want N, 'auto', or 'seq')")),
+            },
+        }
+    }
+
     /// The shard count recorded in sweep journals: 0 for the sequential
     /// engine, the requested worker count otherwise.
     pub fn journal_shards(&self) -> u64 {
@@ -98,13 +123,43 @@ impl std::fmt::Display for Engine {
     }
 }
 
-/// Build the cache stack of a `structure` at `scale` (L1/L2/L3, plus the
-/// added sectored page-cache level for [`Structure::WithL4`]).
-///
-/// Shared between the live simulation path and the trace-replay path
-/// (`crate::replay`): both must walk references through byte-identical
-/// geometry for their stats to agree.
-pub fn build_caches(scale: &Scale, structure: &Structure) -> Vec<Cache> {
+/// How a simulation runs: the engine for full-fidelity walks and the
+/// sampling mode. Every job that simulates (a walk, a design point, a
+/// grid, a heat map, a journaled sweep) takes one of these.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct RunOpts {
+    /// Which engine walks a full-fidelity stream (results are
+    /// engine-independent; this is a throughput choice).
+    pub engine: Engine,
+    /// `Off` walks every event; `On` simulates one representative
+    /// interval per cluster and extrapolates (results carry confidence
+    /// intervals). The sampled walk is always sequential, so `engine`
+    /// does not apply to it.
+    pub sample: SampleMode,
+}
+
+/// Where a [`walk`]'s reference stream comes from.
+#[derive(Debug, Clone, Copy)]
+pub enum Source<'a> {
+    /// Run the workload (at `scale.class`) with the hierarchy as its sink.
+    Live(WorkloadKind),
+    /// Stream a recorded trace file; the terminal's region table comes
+    /// from its header, so per-region traffic matches the live run.
+    Trace(&'a Path),
+}
+
+/// The cache stack of a `structure` at `scale` (L1/L2/L3, plus the added
+/// sectored page-cache level for [`Structure::WithL4`]) over a terminal
+/// that attributes traffic to `regions`. Every walk — live, replayed,
+/// sampled — gets its hierarchy here, so their stats agree. The terminal
+/// collects per-region traffic for every structure; its aggregate equals
+/// a flat memory's counters because everything is placed on the DRAM
+/// side.
+pub(crate) fn hierarchy_parts(
+    scale: &Scale,
+    structure: &Structure,
+    regions: &[Region],
+) -> (Vec<Cache>, PartitionedMemory) {
     let mut caches = vec![
         Cache::new(CacheConfig::new(
             "L1",
@@ -151,7 +206,7 @@ pub fn build_caches(scale: &Scale, structure: &Structure) -> Vec<Cache> {
         }
         caches.push(Cache::new(cfg));
     }
-    caches
+    (caches, PartitionedMemory::new(regions, Technology::Pcm))
 }
 
 /// Publish one level's final statistics into the global observability
@@ -160,7 +215,7 @@ pub fn build_caches(scale: &Scale, structure: &Structure) -> Vec<Cache> {
 /// the terminal memory it is the only publication. The export's per-level
 /// counters are therefore bit-identical to the [`LevelStats`] in the
 /// final report.
-pub(crate) fn publish_final_stats(prefix: &str, stats: &LevelStats) {
+fn publish_final_stats(prefix: &str, stats: &LevelStats) {
     let reg = memsim_obs::global();
     let store = |field: &str, v: u64| {
         reg.counter(&format!("{prefix}.{}.{field}", stats.name))
@@ -178,41 +233,197 @@ pub(crate) fn publish_final_stats(prefix: &str, stats: &LevelStats) {
     store("bytes_stored", stats.bytes_stored);
 }
 
-/// Harvest a drained hierarchy into a [`RawRun`] (shared by the live and
-/// replay paths — the counters must be assembled identically). When
-/// `obs_prefix` is set and observability is enabled, every level's final
-/// stats (caches and `MEM`) are published under it.
-pub(crate) fn raw_run_from_hierarchy(
-    hierarchy: Hierarchy<PartitionedMemory>,
-    regions: &[memsim_trace::Region],
-    obs_prefix: Option<&str>,
-) -> RawRun {
-    let total_refs = hierarchy.total_refs();
-    let cache_stats: Vec<LevelStats> = hierarchy.levels().iter().map(|c| c.stats()).collect();
-    let mem_part = hierarchy.into_memory();
-    raw_run_from_parts(cache_stats, mem_part, regions, total_refs, obs_prefix)
+/// How a full walk reports itself to the observability layer.
+struct WalkObs<'a> {
+    /// Counter prefix (`sim.<wl>.<label>` or `replay.<label>`); `None`
+    /// when observability is off.
+    prefix: Option<&'a str>,
+    /// Replay-grid worker index: the sequential walk also counts its
+    /// events into `progress.shard<i>.events`.
+    shard: Option<usize>,
+    /// Wrap the drain in a `drain` span (live walks report phases).
+    drain_span: bool,
 }
 
-/// Assemble a [`RawRun`] from already-harvested pieces — the common tail
-/// of the sequential ([`raw_run_from_hierarchy`]) and sharded (merged
-/// [`memsim_cache::ShardedRun`]) engines, so both publish and report
-/// identically.
-pub(crate) fn raw_run_from_parts(
+/// Walk `source` through `structure`'s hierarchy at `scale` under `opts`
+/// and harvest the counters. This is the expensive step: every reference
+/// (or, sampled, every reference of the representative windows) walks the
+/// hierarchy. Both engines yield bit-identical [`RawRun`] counters; the
+/// sharded engine trades the sequential path's per-epoch probe
+/// publication for per-shard progress telemetry, with the identical
+/// finals published at the end either way.
+///
+/// `Err` carries a trace decode error or a sampling set-up failure
+/// (unrecordable workload, unbuildable plan). A live workload that fails
+/// its self-verification panics; grid workers catch both into
+/// [`FailedPoint`]s.
+pub fn walk(
+    source: Source<'_>,
+    scale: &Scale,
+    structure: &Structure,
+    opts: &RunOpts,
+) -> Result<RawRun, String> {
+    walk_as(source, scale, structure, opts, None)
+}
+
+/// [`walk`] with the replay grid's worker attribution: `shard` names a
+/// full trace walk's span (`replay.shard<i>`) and progress counter, so
+/// the sampler can show per-shard lag.
+pub(crate) fn walk_as(
+    source: Source<'_>,
+    scale: &Scale,
+    structure: &Structure,
+    opts: &RunOpts,
+    shard: Option<usize>,
+) -> Result<RawRun, String> {
+    if let SampleMode::On(spec) = opts.sample {
+        // The stream is recorded once per machine, the interval plan is
+        // memoized per (trace, spec), and only the representative
+        // windows are walked — see `crate::sampling`.
+        return match source {
+            Source::Live(kind) => {
+                let path = sampling::cached_trace(kind, scale.class)?;
+                let plan = sampling::plan_for(&path, spec)?;
+                sampling::walk_windows(&path, scale, structure, &plan)
+                    .map_err(|e| format!("sampled replay of {}: {e}", path.display()))
+            }
+            Source::Trace(path) => {
+                let plan = sampling::plan_for(path, spec)?;
+                sampling::walk_windows(path, scale, structure, &plan).map_err(|e| e.to_string())
+            }
+        };
+    }
+    let (mut span, prefix, run) = match source {
+        Source::Live(kind) => {
+            let prefix = memsim_obs::enabled()
+                .then(|| format!("sim.{}.{}", kind.name(), structure.obs_label()));
+            let span = memsim_obs::span!("sim.{}.{}", kind.name(), structure.obs_label());
+            let mut workload = {
+                let _s = memsim_obs::span!("generate");
+                kind.build(scale.class)
+            };
+            let regions = workload.space().regions().to_vec();
+            let obs = WalkObs {
+                prefix: prefix.as_deref(),
+                shard: None,
+                drain_span: true,
+            };
+            let run = walk_hierarchy(scale, structure, &regions, opts.engine, &obs, |sink| {
+                let _s = memsim_obs::span!("simulate");
+                workload.run(sink);
+                Ok(())
+            })
+            .map_err(|e| e.to_string())?;
+            {
+                let _s = memsim_obs::span!("verify");
+                workload.verify().unwrap_or_else(|e| {
+                    panic!("{} failed self-verification: {e}", workload.name())
+                });
+            }
+            (span, prefix, run)
+        }
+        Source::Trace(path) => {
+            let span = match shard {
+                Some(i) => memsim_obs::span!("replay.shard{}", i),
+                None => memsim_obs::span!("replay.walk"),
+            };
+            let prefix = memsim_obs::enabled().then(|| format!("replay.{}", structure.obs_label()));
+            let mut reader = TraceReader::open(path).map_err(|e| e.to_string())?;
+            let regions = reader.header().regions.clone();
+            let obs = WalkObs {
+                prefix: prefix.as_deref(),
+                shard,
+                drain_span: false,
+            };
+            let run = walk_hierarchy(scale, structure, &regions, opts.engine, &obs, |sink| {
+                replay_into(&mut reader, sink).map(drop)
+            })
+            .map_err(|e| e.to_string())?;
+            if let Some(prefix) = &prefix {
+                // Trace-health counters from the reader: every chunk that
+                // reached the sink passed its CRC check.
+                let reg = memsim_obs::global();
+                let store = |field: &str, v: u64| {
+                    reg.counter(&format!("{prefix}.reader.{field}")).store(v);
+                };
+                store("chunks", reader.chunks_read());
+                store("crc_verified_chunks", reader.crc_verified_chunks());
+                store("payload_bytes", reader.payload_bytes());
+            }
+            (span, prefix, run)
+        }
+    };
+    span.add_events(run.total_refs);
+    publish_run(prefix.as_deref(), &run);
+    Ok(run)
+}
+
+/// The one place a full walk assembles its hierarchy and picks its
+/// engine: `feed` delivers the stream to the sink in chunks, then the
+/// hierarchy is drained and harvested into a [`RawRun`] (unpublished).
+fn walk_hierarchy(
+    scale: &Scale,
+    structure: &Structure,
+    regions: &[Region],
+    engine: Engine,
+    obs: &WalkObs<'_>,
+    feed: impl FnOnce(&mut dyn TraceSink) -> Result<(), TraceError>,
+) -> Result<RawRun, TraceError> {
+    let (caches, terminal) = hierarchy_parts(scale, structure, regions);
+    match engine {
+        Engine::Sharded(shards) => {
+            let mut sharded = ShardedHierarchy::new(caches, terminal, shards, obs.prefix);
+            feed(&mut sharded)?;
+            let run = {
+                let _s = obs.drain_span.then(|| memsim_obs::span!("drain"));
+                sharded.finish()
+            };
+            Ok(raw_run(run.levels, run.memory, regions, run.total_refs))
+        }
+        Engine::Sequential => {
+            let mut hierarchy = Hierarchy::new(caches, terminal);
+            if let Some(prefix) = obs.prefix {
+                let reg = memsim_obs::global();
+                let names: Vec<String> = hierarchy
+                    .levels()
+                    .iter()
+                    .map(|c| c.config().name.clone())
+                    .collect();
+                let names: Vec<&str> = names.iter().map(String::as_str).collect();
+                let mut probes = HierarchyProbes::register(reg, prefix, &names);
+                if let Some(i) = obs.shard {
+                    probes.add_events_counter(reg.counter(&format!("progress.shard{i}.events")));
+                }
+                hierarchy.set_probes(probes);
+            }
+            feed(&mut hierarchy)?;
+            {
+                let _s = obs.drain_span.then(|| memsim_obs::span!("drain"));
+                hierarchy.drain();
+            }
+            hierarchy.assert_consistent();
+            let total_refs = hierarchy.total_refs();
+            let levels = hierarchy.levels().iter().map(|c| c.stats()).collect();
+            Ok(raw_run(
+                levels,
+                hierarchy.into_memory(),
+                regions,
+                total_refs,
+            ))
+        }
+    }
+}
+
+/// Assemble a [`RawRun`] from a drained hierarchy's pieces — the common
+/// tail of both engines, so both report identically.
+fn raw_run(
     cache_stats: Vec<LevelStats>,
     mem_part: PartitionedMemory,
-    regions: &[memsim_trace::Region],
+    regions: &[Region],
     total_refs: u64,
-    obs_prefix: Option<&str>,
 ) -> RawRun {
     let mut mem = mem_part.dram_stats().clone();
     mem.name = MEM_NAME.to_string();
-
-    if let Some(prefix) = obs_prefix.filter(|_| memsim_obs::enabled()) {
-        for stats in cache_stats.iter().chain(std::iter::once(&mem)) {
-            publish_final_stats(prefix, stats);
-        }
-    }
-
     RawRun {
         caches: cache_stats,
         mem,
@@ -226,129 +437,12 @@ pub(crate) fn raw_run_from_parts(
     }
 }
 
-/// Simulate `kind` (at `scale.class`) through `structure` with the
-/// sequential engine. This is the expensive step: every memory reference
-/// of the workload walks the hierarchy.
-pub fn simulate_structure(kind: WorkloadKind, scale: &Scale, structure: &Structure) -> RawRun {
-    simulate_structure_engine(kind, scale, structure, Engine::Sequential)
-}
-
-/// Simulate `kind` (at `scale.class`) through `structure` with the chosen
-/// `engine`. Both engines yield bit-identical [`RawRun`] counters; the
-/// sharded engine trades the sequential path's per-epoch probe publication
-/// for per-shard progress telemetry, with the identical finals published
-/// at drain either way.
-pub fn simulate_structure_engine(
-    kind: WorkloadKind,
-    scale: &Scale,
-    structure: &Structure,
-    engine: Engine,
-) -> RawRun {
-    let obs_prefix =
-        memsim_obs::enabled().then(|| format!("sim.{}.{}", kind.name(), structure.obs_label()));
-    let mut span = memsim_obs::span!("sim.{}.{}", kind.name(), structure.obs_label());
-
-    let mut workload = {
-        let _s = memsim_obs::span!("generate");
-        kind.build(scale.class)
-    };
-    let caches = build_caches(scale, structure);
-
-    // the terminal collects per-region traffic for every structure; the
-    // aggregate equals a flat memory's counters because everything is
-    // placed on the DRAM side
-    let regions = workload.space().regions().to_vec();
-    let terminal = PartitionedMemory::new(&regions, Technology::Pcm);
-
-    if let Engine::Sharded(shards) = engine {
-        let mut sharded = ShardedHierarchy::new(caches, terminal, shards, obs_prefix.as_deref());
-        {
-            let _s = memsim_obs::span!("simulate");
-            workload.run(&mut sharded);
-        }
-        let run = {
-            let _s = memsim_obs::span!("drain");
-            sharded.finish()
-        };
-        {
-            let _s = memsim_obs::span!("verify");
-            workload
-                .verify()
-                .unwrap_or_else(|e| panic!("{} failed self-verification: {e}", workload.name()));
-        }
-        span.add_events(run.total_refs);
-        return raw_run_from_parts(
-            run.levels,
-            run.memory,
-            &regions,
-            run.total_refs,
-            obs_prefix.as_deref(),
-        );
-    }
-
-    let mut hierarchy = Hierarchy::new(caches, terminal);
-    if let Some(prefix) = &obs_prefix {
-        let names: Vec<String> = hierarchy
-            .levels()
-            .iter()
-            .map(|c| c.config().name.clone())
-            .collect();
-        let names: Vec<&str> = names.iter().map(String::as_str).collect();
-        hierarchy.set_probes(HierarchyProbes::register(
-            memsim_obs::global(),
-            prefix,
-            &names,
-        ));
-    }
-
-    {
-        let _s = memsim_obs::span!("simulate");
-        workload.run(&mut hierarchy);
-    }
-    {
-        let _s = memsim_obs::span!("drain");
-        hierarchy.drain();
-    }
-    hierarchy.assert_consistent();
-    {
-        let _s = memsim_obs::span!("verify");
-        workload
-            .verify()
-            .unwrap_or_else(|e| panic!("{} failed self-verification: {e}", workload.name()));
-    }
-
-    span.add_events(hierarchy.total_refs());
-    raw_run_from_hierarchy(hierarchy, &regions, obs_prefix.as_deref())
-}
-
-/// Simulate `kind` through `structure`, either at full fidelity (the
-/// chosen `engine` walks every reference) or interval-sampled: the
-/// workload's stream is recorded once per process, an interval plan is
-/// built and memoized, and only representative windows are replayed —
-/// see [`crate::sampling`]. The sampled walk is always sequential (the
-/// snapshot deltas need one hierarchy in event order), so `engine`
-/// applies to full-fidelity runs only.
-///
-/// Panics on sampling errors (unrecordable workload, unreadable trace)
-/// the same way the full path panics on a failed workload — grid
-/// workers catch both into [`FailedPoint`]s.
-pub fn simulate_structure_sampled(
-    kind: WorkloadKind,
-    scale: &Scale,
-    structure: &Structure,
-    engine: Engine,
-    sample: crate::sampling::SampleMode,
-) -> RawRun {
-    match sample {
-        crate::sampling::SampleMode::Off => {
-            simulate_structure_engine(kind, scale, structure, engine)
-        }
-        crate::sampling::SampleMode::On(spec) => {
-            let path =
-                crate::sampling::cached_trace(kind, scale.class).unwrap_or_else(|e| panic!("{e}"));
-            let plan = crate::sampling::plan_for(&path, spec).unwrap_or_else(|e| panic!("{e}"));
-            crate::sampling::replay_structure_sampled(&path, scale, structure, &plan)
-                .unwrap_or_else(|e| panic!("sampled replay of {}: {e}", path.display()))
+/// When `prefix` is set and observability is enabled, publish every
+/// level's final stats (caches and `MEM`) under it.
+fn publish_run(prefix: Option<&str>, run: &RawRun) {
+    if let Some(prefix) = prefix.filter(|_| memsim_obs::enabled()) {
+        for stats in run.all_levels() {
+            publish_final_stats(prefix, stats);
         }
     }
 }
@@ -363,12 +457,7 @@ pub fn simulate_structure_sampled(
 #[derive(Default)]
 pub struct SimCache {
     #[allow(clippy::type_complexity)]
-    map: Mutex<
-        HashMap<
-            (WorkloadKind, Scale, Structure, crate::sampling::SampleMode),
-            Arc<OnceLock<Arc<RawRun>>>,
-        >,
-    >,
+    map: Mutex<HashMap<(WorkloadKind, Scale, Structure, SampleMode), Arc<OnceLock<Arc<RawRun>>>>>,
 }
 
 impl SimCache {
@@ -377,29 +466,7 @@ impl SimCache {
         Self::default()
     }
 
-    /// Fetch or simulate with the sequential engine.
-    pub fn get(&self, kind: WorkloadKind, scale: &Scale, structure: &Structure) -> Arc<RawRun> {
-        self.get_engine(kind, scale, structure, Engine::Sequential)
-    }
-
-    /// Fetch or simulate with the chosen engine (full fidelity).
-    pub fn get_engine(
-        &self,
-        kind: WorkloadKind,
-        scale: &Scale,
-        structure: &Structure,
-        engine: Engine,
-    ) -> Arc<RawRun> {
-        self.get_sampled(
-            kind,
-            scale,
-            structure,
-            engine,
-            crate::sampling::SampleMode::Off,
-        )
-    }
-
-    /// Fetch or simulate with the chosen engine and sampling mode. The
+    /// Fetch or walk `kind` live through `structure` under `opts`. The
     /// memo key deliberately excludes the engine — both engines produce
     /// bit-identical runs, so whichever requester arrives first fills
     /// the cell for everyone — but it *includes* the sampling mode,
@@ -411,15 +478,16 @@ impl SimCache {
     /// blocked on the same in-flight cell count as hits, because the
     /// overlap was simulated once — the property the server's job
     /// coalescing asserts.
-    pub fn get_sampled(
+    ///
+    /// Panics when the walk fails (see [`walk`]).
+    pub fn get(
         &self,
         kind: WorkloadKind,
         scale: &Scale,
         structure: &Structure,
-        engine: Engine,
-        sample: crate::sampling::SampleMode,
+        opts: &RunOpts,
     ) -> Arc<RawRun> {
-        let key = (kind, *scale, *structure, sample);
+        let key = (kind, *scale, *structure, opts.sample);
         let cell = {
             let mut map = self.map.lock().expect("sim cache poisoned");
             Arc::clone(map.entry(key).or_default())
@@ -427,9 +495,8 @@ impl SimCache {
         let mut simulated = false;
         let run = Arc::clone(cell.get_or_init(|| {
             simulated = true;
-            Arc::new(simulate_structure_sampled(
-                kind, scale, structure, engine, sample,
-            ))
+            let run = walk(Source::Live(kind), scale, structure, opts);
+            Arc::new(run.unwrap_or_else(|e| panic!("{e}")))
         }));
         if memsim_obs::enabled() {
             let field = if simulated { "misses" } else { "hits" };
@@ -509,53 +576,18 @@ pub fn evaluate_run(
     }
 }
 
-/// Evaluate one design point, memoizing the simulation in `cache`.
-pub fn evaluate_cached(
+/// Evaluate one design point under `opts`, memoizing the structure's
+/// live walk in `cache`.
+pub fn evaluate(
     kind: WorkloadKind,
     scale: &Scale,
     design: &Design,
     cache: &SimCache,
-) -> EvalResult {
-    evaluate_cached_engine(kind, scale, design, cache, Engine::Sequential)
-}
-
-/// Evaluate one design point with the chosen engine, memoizing the
-/// simulation in `cache`.
-pub fn evaluate_cached_engine(
-    kind: WorkloadKind,
-    scale: &Scale,
-    design: &Design,
-    cache: &SimCache,
-    engine: Engine,
-) -> EvalResult {
-    evaluate_cached_sampled(
-        kind,
-        scale,
-        design,
-        cache,
-        engine,
-        crate::sampling::SampleMode::Off,
-    )
-}
-
-/// Evaluate one design point with the chosen engine and sampling mode,
-/// memoizing the (full or sampled) simulation in `cache`.
-pub fn evaluate_cached_sampled(
-    kind: WorkloadKind,
-    scale: &Scale,
-    design: &Design,
-    cache: &SimCache,
-    engine: Engine,
-    sample: crate::sampling::SampleMode,
+    opts: &RunOpts,
 ) -> EvalResult {
     design.validate().expect("invalid design");
-    let run = cache.get_sampled(kind, scale, &design.structure(scale), engine, sample);
+    let run = cache.get(kind, scale, &design.structure(scale), opts);
     evaluate_run(kind, scale, design, run)
-}
-
-/// Evaluate one design point with a throwaway memo.
-pub fn evaluate(kind: WorkloadKind, scale: &Scale, design: &Design) -> EvalResult {
-    evaluate_cached(kind, scale, design, &SimCache::new())
 }
 
 /// Identity and cause of a grid point that did not produce a result.
@@ -632,10 +664,44 @@ impl GridOutcome {
     pub fn completed(self) -> Vec<EvalResult> {
         self.results.into_iter().flatten().collect()
     }
+
+    /// Every result in input order, or why the grid is incomplete: an
+    /// interrupt wins over failures (the journal already holds both kinds
+    /// of entry).
+    pub(crate) fn result(self) -> Result<Vec<EvalResult>, SweepError> {
+        if self.interrupted {
+            return Err(SweepError::Interrupted);
+        }
+        if !self.failures.is_empty() {
+            return Err(SweepError::Failed(self.failures));
+        }
+        Ok(self
+            .results
+            .into_iter()
+            .map(|slot| slot.expect("missing result"))
+            .collect())
+    }
+
+    /// Every result in input order, panicking if any point failed — for
+    /// callers (tests, benches, examples) that treat a failed point as a
+    /// bug.
+    pub fn strict(self) -> Vec<EvalResult> {
+        self.result().unwrap_or_else(|e| match e {
+            SweepError::Failed(failures) => {
+                let list: Vec<String> = failures.iter().map(FailedPoint::to_string).collect();
+                panic!(
+                    "{} grid point(s) failed: {}",
+                    failures.len(),
+                    list.join("; ")
+                )
+            }
+            SweepError::Interrupted => panic!("{e}"),
+        })
+    }
 }
 
 /// Turn a caught panic payload into a displayable message.
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<String>() {
         s.clone()
     } else if let Some(s) = payload.downcast_ref::<&str>() {
@@ -645,81 +711,83 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Evaluate one sweep point with journal lookup/record: a point already in
-/// the resume map is served from it (no simulation); a freshly evaluated
-/// point is journaled before being returned. Panics are *not* caught here
-/// — grid workers wrap this in `catch_unwind`; serial callers (heatmap)
-/// do their own wrapping via [`sweep_point`].
-pub(crate) fn evaluate_sweep_point(
+/// Run `f`, turning a panic into its payload message — the fault
+/// isolation every grid worker wraps its unit of work in.
+pub(crate) fn catch_panic<T>(f: impl FnOnce() -> T) -> Result<T, String> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(panic_message)
+}
+
+/// Claim the indices `0..n` across `threads` scoped workers (default:
+/// the available parallelism; never more than `n`) and collect `job(i)`
+/// into one slot per index, in index order. Workers claim disjoint
+/// indices from a shared counter, so publishing a result is a lock-free
+/// single-writer `OnceLock::set`. They are named `{lane}{w}` so each gets
+/// a stable flight-recorder lane in `--trace-out` timelines, and stop
+/// claiming once `stop()` holds: a slot left `None` was never claimed.
+///
+/// `job` must not unwind — wrap its work in [`catch_panic`]: a panic
+/// crossing `thread::scope` would re-raise on join and drop every
+/// completed slot with it.
+pub(crate) fn parallel_slots<T: Send + Sync>(
+    lane: &str,
+    n: usize,
+    threads: Option<usize>,
+    stop: impl Fn() -> bool + Sync,
+    job: impl Fn(usize) -> T + Sync,
+) -> Vec<Option<T>> {
+    let threads = threads
+        .unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(4)
+        })
+        .clamp(1, n.max(1));
+    let next = std::sync::atomic::AtomicUsize::new(0);
+    let slots: Vec<OnceLock<T>> = (0..n).map(|_| OnceLock::new()).collect();
+    std::thread::scope(|s| {
+        for w in 0..threads {
+            let worker = || loop {
+                if stop() {
+                    break;
+                }
+                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                if i >= n {
+                    break;
+                }
+                assert!(slots[i].set(job(i)).is_ok(), "slot {i} written twice");
+            };
+            std::thread::Builder::new()
+                .name(format!("{lane}{w}"))
+                .spawn_scoped(s, worker)
+                .expect("spawn worker");
+        }
+    });
+    slots.into_iter().map(OnceLock::into_inner).collect()
+}
+
+/// Fault-isolated evaluation of one sweep point: a point already in the
+/// sweep's resume map is served from it (no simulation); a freshly
+/// evaluated point is journaled before being returned. A panic is caught,
+/// recorded in the journal and returned as a [`FailedPoint`].
+pub(crate) fn sweep_point(
     kind: WorkloadKind,
     scale: &Scale,
     design: &Design,
     cache: &SimCache,
-    sweep: Option<&crate::journal::SweepCtx>,
-    engine: Engine,
-    sample: crate::sampling::SampleMode,
-) -> EvalResult {
-    if let Some(ctx) = sweep {
-        if let Some(hit) = ctx.lookup(kind, design) {
+    sweep: Option<&SweepCtx>,
+    opts: &RunOpts,
+) -> Result<EvalResult, FailedPoint> {
+    catch_panic(|| {
+        if let Some(hit) = sweep.and_then(|ctx| ctx.lookup(kind, design)) {
             return hit;
         }
-    }
-    let r = evaluate_cached_sampled(kind, scale, design, cache, engine, sample);
-    if let Some(ctx) = sweep {
-        ctx.record(&r);
-    }
-    r
-}
-
-/// Fault-isolated serial evaluation of one point, for callers outside the
-/// grid (the heatmap path): journal lookup, `catch_unwind` around the
-/// simulation, failure recorded in the journal and returned as a
-/// [`FailedPoint`].
-pub fn sweep_point(
-    kind: WorkloadKind,
-    scale: &Scale,
-    design: &Design,
-    cache: &SimCache,
-    sweep: Option<&crate::journal::SweepCtx>,
-) -> Result<EvalResult, FailedPoint> {
-    sweep_point_engine(kind, scale, design, cache, sweep, Engine::Sequential)
-}
-
-/// [`sweep_point`] with an explicit engine choice.
-pub fn sweep_point_engine(
-    kind: WorkloadKind,
-    scale: &Scale,
-    design: &Design,
-    cache: &SimCache,
-    sweep: Option<&crate::journal::SweepCtx>,
-    engine: Engine,
-) -> Result<EvalResult, FailedPoint> {
-    sweep_point_sampled(
-        kind,
-        scale,
-        design,
-        cache,
-        sweep,
-        engine,
-        crate::sampling::SampleMode::Off,
-    )
-}
-
-/// [`sweep_point`] with explicit engine and sampling choices.
-pub fn sweep_point_sampled(
-    kind: WorkloadKind,
-    scale: &Scale,
-    design: &Design,
-    cache: &SimCache,
-    sweep: Option<&crate::journal::SweepCtx>,
-    engine: Engine,
-    sample: crate::sampling::SampleMode,
-) -> Result<EvalResult, FailedPoint> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        evaluate_sweep_point(kind, scale, design, cache, sweep, engine, sample)
-    }))
-    .map_err(|payload| {
-        let message = panic_message(payload);
+        let r = evaluate(kind, scale, design, cache, opts);
+        if let Some(ctx) = sweep {
+            ctx.record(&r);
+        }
+        r
+    })
+    .map_err(|message| {
         if let Some(ctx) = sweep {
             ctx.record_failure(kind, design, &message);
         }
@@ -739,111 +807,36 @@ pub fn sweep_point_sampled(
 /// the remaining points still run to completion. With a sweep context,
 /// journaled points are skipped and fresh completions are appended as they
 /// land; an armed interrupt flag makes workers stop claiming new points
-/// while in-flight ones finish and journal.
-pub fn evaluate_grid_sweep(
+/// while in-flight ones finish and journal. [`GridOutcome::strict`] turns
+/// any failure into a panic.
+pub fn evaluate_grid(
     points: &[(WorkloadKind, Design)],
     scale: &Scale,
     cache: &SimCache,
     threads: Option<usize>,
-    sweep: Option<&crate::journal::SweepCtx>,
-) -> GridOutcome {
-    evaluate_grid_sweep_engine(points, scale, cache, threads, sweep, Engine::Sequential)
-}
-
-/// [`evaluate_grid_sweep`] with an explicit engine choice for each point's
-/// structure simulation.
-pub fn evaluate_grid_sweep_engine(
-    points: &[(WorkloadKind, Design)],
-    scale: &Scale,
-    cache: &SimCache,
-    threads: Option<usize>,
-    sweep: Option<&crate::journal::SweepCtx>,
-    engine: Engine,
-) -> GridOutcome {
-    evaluate_grid_sweep_sampled(
-        points,
-        scale,
-        cache,
-        threads,
-        sweep,
-        engine,
-        crate::sampling::SampleMode::Off,
-    )
-}
-
-/// [`evaluate_grid_sweep`] with explicit engine and sampling choices for
-/// each point's structure simulation.
-#[allow(clippy::too_many_arguments)]
-pub fn evaluate_grid_sweep_sampled(
-    points: &[(WorkloadKind, Design)],
-    scale: &Scale,
-    cache: &SimCache,
-    threads: Option<usize>,
-    sweep: Option<&crate::journal::SweepCtx>,
-    engine: Engine,
-    sample: crate::sampling::SampleMode,
+    sweep: Option<&SweepCtx>,
+    opts: &RunOpts,
 ) -> GridOutcome {
     let _span = memsim_obs::span!("grid");
-    let threads = threads
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4)
-        })
-        .clamp(1, points.len().max(1));
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    // Each point gets its own result slot: workers claim disjoint indices
-    // from the `next` counter, so publishing a result is a lock-free
-    // single-writer `OnceLock::set` instead of a contended mutex around
-    // the whole vector.
-    let slots: Vec<OnceLock<Result<EvalResult, FailedPoint>>> =
-        (0..points.len()).map(|_| OnceLock::new()).collect();
-    std::thread::scope(|s| {
-        for w in 0..threads {
-            // Named so each worker gets a stable flight-recorder lane
-            // ("memsim-sweep0", ...) in `--trace-out` timelines.
-            let builder = std::thread::Builder::new().name(format!("memsim-sweep{w}"));
-            let worker = || loop {
-                if sweep.is_some_and(|ctx| ctx.interrupted()) {
-                    break;
-                }
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= points.len() {
-                    break;
-                }
-                let (kind, design) = points[i];
-                // One recorder span per sweep point so the timeline shows
-                // which worker ran which (workload, design) pair, when.
-                let _point_span =
-                    memsim_obs::span!("grid.point.{}.{}", kind.name(), design.label());
-                // Catch the panic *inside* the worker: letting it unwind
-                // through `thread::scope` would re-raise on join and drop
-                // every completed slot with it.
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    evaluate_sweep_point(kind, scale, &design, cache, sweep, engine, sample)
-                }))
-                .map_err(|payload| {
-                    let message = panic_message(payload);
-                    if let Some(ctx) = sweep {
-                        ctx.record_failure(kind, &design, &message);
-                    }
-                    FailedPoint {
-                        workload: kind,
-                        design,
-                        message,
-                    }
-                });
-                slots[i].set(outcome).expect("result slot written twice");
-            };
-            builder.spawn_scoped(s, worker).expect("spawn sweep worker");
-        }
-    });
+    let slots = parallel_slots(
+        "memsim-sweep",
+        points.len(),
+        threads,
+        || sweep.is_some_and(SweepCtx::interrupted),
+        |i| {
+            let (kind, design) = points[i];
+            // One recorder span per sweep point so the timeline shows
+            // which worker ran which (workload, design) pair, when.
+            let _point_span = memsim_obs::span!("grid.point.{}.{}", kind.name(), design.label());
+            sweep_point(kind, scale, &design, cache, sweep, opts)
+        },
+    );
     let mut results = Vec::with_capacity(points.len());
     let mut failures = Vec::new();
     let mut unclaimed = 0usize;
     let mut skipped = 0usize;
     for slot in slots {
-        match slot.into_inner() {
+        match slot {
             None => {
                 unclaimed += 1;
                 results.push(None);
@@ -874,36 +867,6 @@ pub fn evaluate_grid_sweep_sampled(
     }
 }
 
-/// Evaluate a grid of points in parallel, panicking if any point fails —
-/// the strict interface for callers (tests, benches, examples) that treat
-/// a failed point as a bug. For fault isolation and checkpoint/resume use
-/// [`evaluate_grid_sweep`].
-pub fn evaluate_grid(
-    points: &[(WorkloadKind, Design)],
-    scale: &Scale,
-    cache: &SimCache,
-    threads: Option<usize>,
-) -> Vec<EvalResult> {
-    let outcome = evaluate_grid_sweep(points, scale, cache, threads, None);
-    if !outcome.failures.is_empty() {
-        let list: Vec<String> = outcome
-            .failures
-            .iter()
-            .map(FailedPoint::to_string)
-            .collect();
-        panic!(
-            "{} grid point(s) failed: {}",
-            outcome.failures.len(),
-            list.join("; ")
-        );
-    }
-    outcome
-        .results
-        .into_iter()
-        .map(|slot| slot.expect("missing result"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -915,7 +878,13 @@ mod tests {
 
     #[test]
     fn baseline_run_is_consistent() {
-        let run = simulate_structure(WorkloadKind::Cg, &scale(), &Structure::ThreeLevel);
+        let run = walk(
+            Source::Live(WorkloadKind::Cg),
+            &scale(),
+            &Structure::ThreeLevel,
+            &RunOpts::default(),
+        )
+        .unwrap();
         assert_eq!(run.caches.len(), 3);
         assert!(run.total_refs > 100_000);
         // L1 sees every demand reference (after line splitting)
@@ -935,7 +904,13 @@ mod tests {
             capacity_bytes: 1 << 20,
             page_bytes: 1024,
         };
-        let run = simulate_structure(WorkloadKind::Cg, &scale(), &st);
+        let run = walk(
+            Source::Live(WorkloadKind::Cg),
+            &scale(),
+            &st,
+            &RunOpts::default(),
+        )
+        .unwrap();
         assert_eq!(run.caches.len(), 4);
         assert_eq!(run.caches[3].name, "L4");
         // the L4 must filter some traffic: memory loads < L3 load misses
@@ -953,14 +928,19 @@ mod tests {
                 page_bytes: 1024,
             },
         ] {
-            let seq = simulate_structure(WorkloadKind::Cg, &scale(), &st);
+            let seq = walk(
+                Source::Live(WorkloadKind::Cg),
+                &scale(),
+                &st,
+                &RunOpts::default(),
+            )
+            .unwrap();
             for shards in [2usize, 7] {
-                let sh = simulate_structure_engine(
-                    WorkloadKind::Cg,
-                    &scale(),
-                    &st,
-                    Engine::Sharded(shards),
-                );
+                let opts = RunOpts {
+                    engine: Engine::Sharded(shards),
+                    ..RunOpts::default()
+                };
+                let sh = walk(Source::Live(WorkloadKind::Cg), &scale(), &st, &opts).unwrap();
                 assert_eq!(sh.caches, seq.caches, "{st:?} shards={shards}");
                 assert_eq!(sh.mem, seq.mem, "{st:?} shards={shards}");
                 assert_eq!(sh.per_region, seq.per_region, "{st:?} shards={shards}");
@@ -982,8 +962,18 @@ mod tests {
     #[test]
     fn sim_cache_memoizes() {
         let cache = SimCache::new();
-        let a = cache.get(WorkloadKind::Hash, &scale(), &Structure::ThreeLevel);
-        let b = cache.get(WorkloadKind::Hash, &scale(), &Structure::ThreeLevel);
+        let a = cache.get(
+            WorkloadKind::Hash,
+            &scale(),
+            &Structure::ThreeLevel,
+            &RunOpts::default(),
+        );
+        let b = cache.get(
+            WorkloadKind::Hash,
+            &scale(),
+            &Structure::ThreeLevel,
+            &RunOpts::default(),
+        );
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(cache.len(), 1);
     }
@@ -991,8 +981,14 @@ mod tests {
     #[test]
     fn evaluate_baseline_and_nmm() {
         let cache = SimCache::new();
-        let base = evaluate_cached(WorkloadKind::Cg, &scale(), &Design::Baseline, &cache);
-        let nmm = evaluate_cached(
+        let base = evaluate(
+            WorkloadKind::Cg,
+            &scale(),
+            &Design::Baseline,
+            &cache,
+            &RunOpts::default(),
+        );
+        let nmm = evaluate(
             WorkloadKind::Cg,
             &scale(),
             &Design::Nmm {
@@ -1000,6 +996,7 @@ mod tests {
                 config: n_configs()[2],
             },
             &cache,
+            &RunOpts::default(),
         );
         let norm = nmm.metrics.normalized_to(&base.metrics);
         // PCM behind a DRAM cache costs some time but is in a sane band
@@ -1019,7 +1016,7 @@ mod tests {
     fn fourlc_and_fourlcnvm_share_sim() {
         let cache = SimCache::new();
         let eh = eh_configs()[0];
-        let a = evaluate_cached(
+        let a = evaluate(
             WorkloadKind::Hash,
             &scale(),
             &Design::FourLc {
@@ -1027,8 +1024,9 @@ mod tests {
                 config: eh,
             },
             &cache,
+            &RunOpts::default(),
         );
-        let b = evaluate_cached(
+        let b = evaluate(
             WorkloadKind::Hash,
             &scale(),
             &Design::FourLcNvm {
@@ -1037,6 +1035,7 @@ mod tests {
                 config: eh,
             },
             &cache,
+            &RunOpts::default(),
         );
         assert!(
             Arc::ptr_eq(&a.run, &b.run),
@@ -1059,12 +1058,20 @@ mod tests {
             ),
             (WorkloadKind::Hash, Design::Baseline),
         ];
-        let grid = evaluate_grid(&points, &scale(), &cache, Some(3));
+        let grid = evaluate_grid(
+            &points,
+            &scale(),
+            &cache,
+            Some(3),
+            None,
+            &RunOpts::default(),
+        )
+        .strict();
         assert_eq!(grid.len(), 3);
         for (r, (k, d)) in grid.iter().zip(&points) {
             assert_eq!(r.workload, *k);
             assert_eq!(r.design, *d);
-            let serial = evaluate_cached(*k, &scale(), d, &cache);
+            let serial = evaluate(*k, &scale(), d, &cache, &RunOpts::default());
             assert!((r.metrics.time_s - serial.metrics.time_s).abs() < 1e-15);
         }
     }

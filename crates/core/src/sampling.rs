@@ -38,11 +38,10 @@
 
 use crate::design::{Structure, MEM_NAME};
 use crate::model::{LevelCost, Metrics};
-use crate::runner::{build_caches, RawRun};
+use crate::runner::{hierarchy_parts, RawRun};
 use crate::scale::Scale;
 use memsim_cache::{Hierarchy, LevelStats};
 use memsim_memory::{PartitionedMemory, RegionTraffic};
-use memsim_tech::Technology;
 use memsim_trace::{SignatureBuilder, TraceSink, SIGNATURE_DIMS};
 use memsim_tracefile::{ChunkStep, TraceError, TraceReader, TRACE_CHUNK_EVENTS};
 use memsim_workloads::{Class, WorkloadKind};
@@ -678,8 +677,9 @@ enum Mark {
 ///
 /// Always a sequential walk: snapshot deltas need one hierarchy with a
 /// well-defined event order, so the engine choice upstream applies only
-/// to full-fidelity runs.
-pub fn replay_structure_sampled(
+/// to full-fidelity runs. [`crate::runner::walk`] dispatches here when
+/// sampling is on, with the memoized plan of [`plan_for`].
+pub fn walk_windows(
     path: &Path,
     scale: &Scale,
     structure: &Structure,
@@ -721,10 +721,8 @@ pub fn replay_structure_sampled(
     reader.enable_seek_skip();
     let regions = reader.header().regions.clone();
     let fresh = |scale: &Scale, structure: &Structure| {
-        Hierarchy::new(
-            build_caches(scale, structure),
-            PartitionedMemory::new(&regions, Technology::Pcm),
-        )
+        let (caches, terminal) = hierarchy_parts(scale, structure, &regions);
+        Hierarchy::new(caches, terminal)
     };
     let mut hierarchy: Option<Hierarchy<PartitionedMemory>> =
         functional.then(|| fresh(scale, structure));

@@ -39,6 +39,17 @@ pub struct Scale {
 }
 
 impl Scale {
+    /// Resolve a preset by name (`mini`, `demo` or `paper`) — the grammar
+    /// of the CLI's `--scale` and the server's job spec.
+    pub fn parse(name: &str) -> Result<Scale, String> {
+        match name {
+            "mini" => Ok(Scale::mini()),
+            "demo" => Ok(Scale::demo()),
+            "paper" => Ok(Scale::paper()),
+            other => Err(format!("unknown scale '{other}'")),
+        }
+    }
+
     /// The paper's exact geometry: L1 32 KB/8w, L2 256 KB/8w, L3 20 MB/20w,
     /// 64 B lines, unscaled Table 2/3 capacities, `Class::Large` workloads.
     /// Usable, but a full experiment grid takes hours.

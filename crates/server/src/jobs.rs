@@ -32,7 +32,7 @@
 use crate::store::{digest, TraceStore};
 use memsim_core::experiments::ExperimentCtx;
 use memsim_core::{
-    build_artifact, parse_design_list, replay_grid_robust_sampled, Design, Engine, EvalResult,
+    build_artifact, parse_design_list, replay_grid, Design, Engine, EvalResult, RunOpts,
     SampleMode, Scale, SimCache, SweepCtx, SweepError, JOURNAL_FILE,
 };
 use memsim_obs::json;
@@ -48,30 +48,6 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
     // A worker that panicked inside a lock poisons it; the daemon keeps
     // serving, so recover the guard instead of propagating the poison.
     m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Resolve a scale preset by name.
-pub fn parse_scale(name: &str) -> Result<Scale, String> {
-    match name {
-        "mini" => Ok(Scale::mini()),
-        "demo" => Ok(Scale::demo()),
-        "paper" => Ok(Scale::paper()),
-        other => Err(format!("unknown scale '{other}'")),
-    }
-}
-
-/// Resolve an engine spec (`"seq"`, `"auto"`, or a shard count) — the
-/// same grammar as the CLI's `--shards`.
-pub fn parse_engine(spec: &str) -> Result<Engine, String> {
-    match spec {
-        "auto" => Ok(Engine::auto()),
-        "seq" => Ok(Engine::Sequential),
-        n => match n.parse::<usize>() {
-            Ok(0) => Err("shards must be at least 1 (or 'auto'/'seq')".into()),
-            Ok(n) => Ok(Engine::Sharded(n)),
-            Err(_) => Err(format!("bad shard count '{n}' (want N, 'auto', or 'seq')")),
-        },
-    }
 }
 
 /// What a job computes.
@@ -100,7 +76,8 @@ pub struct JobSpec {
     pub scale_name: String,
     /// Benchmark set for artifact jobs (canonicalized; ignored by replay).
     pub workloads: Vec<WorkloadKind>,
-    /// Engine spec string (`seq` / `auto` / shard count).
+    /// Engine spec string (`seq` / `auto` / shard count), in the CLI's
+    /// `--shards` grammar ([`Engine::parse`]).
     pub engine_spec: String,
     /// Interval-sampling mode (`off` or `interval=N,clusters=K,...`).
     pub sample: SampleMode,
@@ -109,12 +86,12 @@ pub struct JobSpec {
 impl JobSpec {
     /// The scale preset this spec names. Valid by construction.
     pub fn scale(&self) -> Scale {
-        parse_scale(&self.scale_name).expect("spec validated at parse")
+        Scale::parse(&self.scale_name).expect("spec validated at parse")
     }
 
     /// The engine this spec names. Valid by construction.
     pub fn engine(&self) -> Engine {
-        parse_engine(&self.engine_spec).expect("spec validated at parse")
+        Engine::parse(&self.engine_spec).expect("spec validated at parse")
     }
 
     /// Canonical JSON — byte-stable across parse/serialize round trips.
@@ -172,9 +149,9 @@ pub fn parse_spec(v: &memsim_core::jsontext::JVal) -> Result<JobSpec, String> {
     };
 
     let scale_name = field_str("scale")?.unwrap_or_else(|| "mini".into());
-    parse_scale(&scale_name)?;
+    Scale::parse(&scale_name)?;
     let engine_spec = field_str("shards")?.unwrap_or_else(|| "seq".into());
-    parse_engine(&engine_spec)?;
+    Engine::parse(&engine_spec)?;
     let sample = match field_str("sample")? {
         None => SampleMode::Off,
         Some(s) => SampleMode::parse(&s)?,
@@ -790,27 +767,26 @@ enum RunOutcome {
 
 fn run_inner(reg: &Arc<Registry>, job: &Arc<Job>) -> Result<RunOutcome, String> {
     let scale = job.spec.scale();
-    let engine = job.spec.engine();
+    let opts = RunOpts {
+        engine: job.spec.engine(),
+        sample: job.spec.sample,
+    };
     match &job.spec.kind {
         JobKind::Artifact(name) => {
             let journal = job.dir.join(JOURNAL_FILE);
-            let sample = job.spec.sample;
             let mut sweep = if journal.exists() {
-                let (ctx, _recovery) = SweepCtx::resume_sampled(&scale, &journal, sample)?;
-                ctx
+                SweepCtx::resume(&scale, &journal, &opts)?.0
             } else {
-                SweepCtx::fresh_sampled(&scale, &journal, sample)?
+                SweepCtx::fresh(&scale, &journal, &opts)?
             };
             sweep.set_interrupt(Arc::clone(&job.cancel));
-            sweep.set_shards(engine.journal_shards());
             let sweep = Arc::new(sweep);
             lock(&job.progress).points_done = sweep.persisted_points();
             *lock(&job.sweep) = Some(Arc::clone(&sweep));
-            let ctx = ExperimentCtx::new(scale, &reg.cache)
+            let mut ctx = ExperimentCtx::new(scale, &reg.cache)
                 .with_workloads(&job.spec.workloads)
-                .with_sweep(&sweep)
-                .with_engine(engine)
-                .with_sample(sample);
+                .with_sweep(&sweep);
+            ctx.opts = opts;
             let built = build_artifact(&ctx, name);
             lock(&job.progress).points_done = sweep.persisted_points();
             match built {
@@ -830,8 +806,7 @@ fn run_inner(reg: &Arc<Registry>, job: &Arc<Job>) -> Result<RunOutcome, String> 
             // Baseline anchors normalization even when not requested.
             let mut grid = vec![Design::Baseline];
             grid.extend(wanted.iter().filter(|d| **d != Design::Baseline).copied());
-            let outcome =
-                replay_grid_robust_sampled(&trace, &grid, &scale, None, engine, job.spec.sample)?;
+            let outcome = replay_grid(&trace, &grid, &scale, None, &opts)?;
             let stranded: Vec<Design> = outcome
                 .failures
                 .iter()

@@ -8,7 +8,7 @@
 //! across every job that asks for it, and survives restarts: the file is
 //! the cache.
 
-use memsim_core::{sweep_fingerprint, Scale};
+use memsim_core::{sweep_fingerprint, RunOpts, Scale};
 use memsim_workloads::WorkloadKind;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -51,7 +51,7 @@ impl TraceStore {
         format!(
             "{}-{}",
             kind.name().to_ascii_lowercase(),
-            digest(&sweep_fingerprint(scale))
+            digest(&sweep_fingerprint(scale, &RunOpts::default()))
         )
     }
 

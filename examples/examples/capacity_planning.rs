@@ -11,7 +11,7 @@
 //! ```
 
 use memsim_core::configs::n_configs;
-use memsim_core::runner::{evaluate_cached, SimCache};
+use memsim_core::runner::{evaluate, RunOpts, SimCache};
 use memsim_core::{Design, Scale};
 use memsim_examples::{human_bytes, pct};
 use memsim_tech::Technology;
@@ -26,7 +26,13 @@ fn main() {
         "sweeping NMM DRAM-cache configurations for {} + PCM\n",
         workload.name()
     );
-    let base = evaluate_cached(workload, &scale, &Design::Baseline, &cache);
+    let base = evaluate(
+        workload,
+        &scale,
+        &Design::Baseline,
+        &cache,
+        &RunOpts::default(),
+    );
     println!(
         "baseline: footprint {}, runtime {:.1} ms, energy {:.1} mJ",
         human_bytes(base.run.footprint_bytes),
@@ -45,7 +51,7 @@ fn main() {
             nvm: Technology::Pcm,
             config: *config,
         };
-        let r = evaluate_cached(workload, &scale, &design, &cache);
+        let r = evaluate(workload, &scale, &design, &cache, &RunOpts::default());
         let norm = r.metrics.normalized_to(&base.metrics);
         let l4_hit = r.run.caches[3].hit_rate() * 100.0;
         println!(

@@ -13,7 +13,7 @@ use memsim_core::partition::{
     cost_placement, merge_into_ranges, ndm_dram_budget, oracle, Placement,
 };
 use memsim_core::runner::evaluate;
-use memsim_core::{simulate_structure, Design, Scale, Structure};
+use memsim_core::{walk, Design, RunOpts, Scale, SimCache, Source, Structure};
 use memsim_examples::{human_bytes, pct};
 use memsim_tech::Technology;
 use memsim_workloads::WorkloadKind;
@@ -27,7 +27,13 @@ fn main() {
         "profiling {} main-memory traffic per data region ...\n",
         workload.name()
     );
-    let run = simulate_structure(workload, &scale, &Structure::ThreeLevel);
+    let run = walk(
+        Source::Live(workload),
+        &scale,
+        &Structure::ThreeLevel,
+        &RunOpts::default(),
+    )
+    .unwrap();
 
     println!(
         "{:<12} {:>10} {:>12} {:>12} {:>10}",
@@ -107,7 +113,13 @@ fn main() {
     }
 
     let choice = oracle(&run, nvm, &scale);
-    let base = evaluate(workload, &scale, &Design::Baseline);
+    let base = evaluate(
+        workload,
+        &scale,
+        &Design::Baseline,
+        &SimCache::new(),
+        &RunOpts::default(),
+    );
     let norm = choice.metrics.normalized_to(&base.metrics);
     println!(
         "\noracle choice: {} in DRAM, {} in {} — runtime {}, energy {} vs baseline",

@@ -10,7 +10,7 @@
 //! ```
 
 use memsim_core::configs::{eh_by_name, n_by_name};
-use memsim_core::runner::{evaluate_cached, SimCache};
+use memsim_core::runner::{evaluate, RunOpts, SimCache};
 use memsim_core::{Design, Scale};
 use memsim_examples::pct;
 use memsim_tech::{TechParams, Technology};
@@ -34,7 +34,13 @@ fn main() {
         );
     }
 
-    let base = evaluate_cached(workload, &scale, &Design::Baseline, &cache);
+    let base = evaluate(
+        workload,
+        &scale,
+        &Design::Baseline,
+        &cache,
+        &RunOpts::default(),
+    );
     let n6 = n_by_name("N6").unwrap();
     let eh1 = eh_by_name("EH1").unwrap();
 
@@ -53,7 +59,7 @@ fn main() {
             },
             Design::Ndm { nvm },
         ] {
-            let r = evaluate_cached(workload, &scale, &design, &cache);
+            let r = evaluate(workload, &scale, &design, &cache, &RunOpts::default());
             let norm = r.metrics.normalized_to(&base.metrics);
             println!(
                 "{:<28} {:>9} {:>9} {:>9.4}",

@@ -10,7 +10,7 @@
 //! ```
 
 use memsim_core::configs::n_by_name;
-use memsim_core::{evaluate, Design, Scale};
+use memsim_core::{evaluate, Design, RunOpts, Scale, SimCache};
 use memsim_examples::{human_bytes, pct};
 use memsim_tech::Technology;
 use memsim_workloads::WorkloadKind;
@@ -25,8 +25,20 @@ fn main() {
     };
 
     println!("simulating CG through {} ...", design.label());
-    let result = evaluate(WorkloadKind::Cg, &scale, &design);
-    let base = evaluate(WorkloadKind::Cg, &scale, &Design::Baseline);
+    let result = evaluate(
+        WorkloadKind::Cg,
+        &scale,
+        &design,
+        &SimCache::new(),
+        &RunOpts::default(),
+    );
+    let base = evaluate(
+        WorkloadKind::Cg,
+        &scale,
+        &Design::Baseline,
+        &SimCache::new(),
+        &RunOpts::default(),
+    );
 
     println!(
         "\nworkload footprint: {}",

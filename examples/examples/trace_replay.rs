@@ -11,9 +11,9 @@
 //! ```
 
 use memsim_core::configs::n_configs;
-use memsim_core::replay::{record_workload, replay_grid};
+use memsim_core::replay::{record_workload, replay_grid, ReplayOutcome};
 use memsim_core::runner::evaluate_grid;
-use memsim_core::{Design, Scale, SimCache};
+use memsim_core::{Design, RunOpts, Scale, SimCache};
 use memsim_examples::human_bytes;
 use memsim_tech::Technology;
 use memsim_workloads::{Class, WorkloadKind};
@@ -49,11 +49,21 @@ fn main() {
     let points: Vec<(WorkloadKind, Design)> = designs.iter().map(|d| (workload, *d)).collect();
 
     let t = Instant::now();
-    let live = evaluate_grid(&points, &scale, &SimCache::new(), None);
+    let live = evaluate_grid(
+        &points,
+        &scale,
+        &SimCache::new(),
+        None,
+        None,
+        &RunOpts::default(),
+    )
+    .strict();
     let live_s = t.elapsed().as_secs_f64();
 
     let t = Instant::now();
-    let replayed = replay_grid(&path, &designs, &scale, None).expect("replay");
+    let replayed = replay_grid(&path, &designs, &scale, None, &RunOpts::default())
+        .and_then(ReplayOutcome::strict)
+        .expect("replay");
     let replay_s = t.elapsed().as_secs_f64();
 
     println!("| design | live time× | replayed time× |");

@@ -1,7 +1,7 @@
 //! Cross-crate conservation invariants: counters must balance between
 //! every pair of adjacent levels, for real workload streams.
 
-use memsim_core::{simulate_structure, Structure};
+use memsim_core::{walk, RunOpts, Source, Structure};
 use memsim_integration_tests::{fast_workloads, test_scale};
 
 /// Fills at level i+1 equal misses at level i; memory loads equal the last
@@ -17,7 +17,7 @@ fn inter_level_flow_balance() {
                 page_bytes: 512,
             },
         ] {
-            let run = simulate_structure(kind, &scale, &structure);
+            let run = walk(Source::Live(kind), &scale, &structure, &RunOpts::default()).unwrap();
             for (i, w) in run.caches.windows(2).enumerate() {
                 let (upper, lower) = (&w[0], &w[1]);
                 // every demand miss above triggers exactly one load below.
@@ -54,7 +54,13 @@ fn inter_level_flow_balance() {
 fn dirty_data_reaches_memory() {
     let scale = test_scale();
     for kind in fast_workloads() {
-        let run = simulate_structure(kind, &scale, &Structure::ThreeLevel);
+        let run = walk(
+            Source::Live(kind),
+            &scale,
+            &Structure::ThreeLevel,
+            &RunOpts::default(),
+        )
+        .unwrap();
         // L1 absorbed `stores`; after drain, those dirty lines must appear
         // as memory stores. With write-back caching, memory stores can be
         // fewer than CPU stores (coalescing) but never zero when stores
@@ -77,7 +83,13 @@ fn dirty_data_reaches_memory() {
 fn region_attribution_is_total() {
     let scale = test_scale();
     for kind in fast_workloads() {
-        let run = simulate_structure(kind, &scale, &Structure::ThreeLevel);
+        let run = walk(
+            Source::Live(kind),
+            &scale,
+            &Structure::ThreeLevel,
+            &RunOpts::default(),
+        )
+        .unwrap();
         let region_loads: u64 = run.per_region.iter().map(|t| t.loads).sum();
         let region_stores: u64 = run.per_region.iter().map(|t| t.stores).sum();
         assert_eq!(
@@ -104,22 +116,26 @@ fn region_attribution_is_total() {
 fn bigger_l4_filters_no_less() {
     let scale = test_scale();
     for kind in fast_workloads() {
-        let small = simulate_structure(
-            kind,
+        let small = walk(
+            Source::Live(kind),
             &scale,
             &Structure::WithL4 {
                 capacity_bytes: 512 << 10,
                 page_bytes: 1024,
             },
-        );
-        let big = simulate_structure(
-            kind,
+            &RunOpts::default(),
+        )
+        .unwrap();
+        let big = walk(
+            Source::Live(kind),
             &scale,
             &Structure::WithL4 {
                 capacity_bytes: 4 << 20,
                 page_bytes: 1024,
             },
-        );
+            &RunOpts::default(),
+        )
+        .unwrap();
         // set-associative LRU is not a strict stack algorithm (set counts
         // differ), so allow a sliver of noise
         assert!(

@@ -1,7 +1,7 @@
 //! Determinism and parallel/serial equivalence.
 
 use memsim_core::configs::n_configs;
-use memsim_core::runner::{evaluate_cached, evaluate_grid, SimCache};
+use memsim_core::runner::{evaluate, evaluate_grid, RunOpts, SimCache};
 use memsim_core::Design;
 use memsim_integration_tests::test_scale;
 use memsim_tech::Technology;
@@ -16,8 +16,20 @@ fn independent_evaluations_are_identical() {
         nvm: Technology::FeRam,
         config: n_configs()[4],
     };
-    let a = evaluate_cached(WorkloadKind::Velvet, &scale, &design, &SimCache::new());
-    let b = evaluate_cached(WorkloadKind::Velvet, &scale, &design, &SimCache::new());
+    let a = evaluate(
+        WorkloadKind::Velvet,
+        &scale,
+        &design,
+        &SimCache::new(),
+        &RunOpts::default(),
+    );
+    let b = evaluate(
+        WorkloadKind::Velvet,
+        &scale,
+        &design,
+        &SimCache::new(),
+        &RunOpts::default(),
+    );
     assert_eq!(a.run.total_refs, b.run.total_refs);
     assert_eq!(a.run.mem, b.run.mem);
     for (x, y) in a.run.caches.iter().zip(&b.run.caches) {
@@ -49,12 +61,24 @@ fn parallel_grid_equals_serial() {
     let serial_cache = SimCache::new();
     let serial: Vec<f64> = points
         .iter()
-        .map(|(k, d)| evaluate_cached(*k, &scale, d, &serial_cache).metrics.time_s)
+        .map(|(k, d)| {
+            evaluate(*k, &scale, d, &serial_cache, &RunOpts::default())
+                .metrics
+                .time_s
+        })
         .collect();
 
     for threads in [1, 2, 8] {
         let cache = SimCache::new();
-        let grid = evaluate_grid(&points, &scale, &cache, Some(threads));
+        let grid = evaluate_grid(
+            &points,
+            &scale,
+            &cache,
+            Some(threads),
+            None,
+            &RunOpts::default(),
+        )
+        .strict();
         for (r, expect) in grid.iter().zip(&serial) {
             assert_eq!(
                 r.metrics.time_s.to_bits(),

@@ -8,7 +8,7 @@
 //! Every test takes `memsim_obs::test_lock()` — the registry and span
 //! tree are process-global, so obs tests must not interleave.
 
-use memsim_core::{evaluate, Design, Scale, Structure};
+use memsim_core::{evaluate, Design, RunOpts, Scale, SimCache, Source, Structure};
 use memsim_workloads::{Class, WorkloadKind};
 use std::path::PathBuf;
 
@@ -52,7 +52,13 @@ fn live_run_registry_counters_match_final_level_stats() {
     let _lock = memsim_obs::test_lock();
     memsim_obs::reset();
     memsim_obs::set_enabled(true);
-    let res = evaluate(WorkloadKind::Hash, &Scale::mini(), &Design::Baseline);
+    let res = evaluate(
+        WorkloadKind::Hash,
+        &Scale::mini(),
+        &Design::Baseline,
+        &SimCache::new(),
+        &RunOpts::default(),
+    );
     memsim_obs::set_enabled(false);
 
     let prefix = format!("sim.{}.3L", WorkloadKind::Hash.name());
@@ -71,7 +77,13 @@ fn replay_export_json_is_bit_identical_to_level_stats() {
 
     memsim_obs::reset();
     memsim_obs::set_enabled(true);
-    let run = memsim_core::replay_structure(&path, &scale, &Structure::ThreeLevel).unwrap();
+    let run = memsim_core::walk(
+        Source::Trace(&path),
+        &scale,
+        &Structure::ThreeLevel,
+        &RunOpts::default(),
+    )
+    .unwrap();
     memsim_obs::set_enabled(false);
 
     // the acceptance criterion: the values in the exported JSON document
@@ -113,7 +125,13 @@ fn deterministic_export_is_byte_stable_across_identical_runs() {
         memsim_obs::reset();
         memsim_obs::set_enabled(true);
         memsim_obs::set_deterministic(true);
-        let _ = evaluate(WorkloadKind::Cg, &scale, &Design::Baseline);
+        let _ = evaluate(
+            WorkloadKind::Cg,
+            &scale,
+            &Design::Baseline,
+            &SimCache::new(),
+            &RunOpts::default(),
+        );
         memsim_obs::set_enabled(false);
         docs.push(memsim_obs::export_json(&manifest, memsim_obs::global()));
     }

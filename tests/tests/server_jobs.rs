@@ -59,6 +59,9 @@ fn reference_run(tag: &str) -> (Vec<u8>, Vec<u8>, String) {
 
 #[test]
 fn killed_daemon_resumes_job_and_result_is_byte_identical() {
+    // this daemon's memo counts into the process-global `sim.memo.*`
+    // counters the coalescing test pins: never run beside it
+    let _guard = memsim_obs::test_lock();
     let (reference, journal, id) = reference_run("ref");
     let lines: Vec<&[u8]> = journal.split_inclusive(|&b| b == b'\n').collect();
     assert!(lines.len() >= 2, "need >=2 journaled points to truncate");
@@ -185,6 +188,9 @@ fn concurrent_jobs_coalesce_shared_points_in_the_memo() {
 
 #[test]
 fn backpressure_answers_503_with_retry_after_and_recovers() {
+    // this daemon's memo counts into the process-global `sim.memo.*`
+    // counters the coalescing test pins: never run beside it
+    let _guard = memsim_obs::test_lock();
     let dir = tmp_dir("backpressure");
     // No workers draining: set up a server whose queue fills and stays
     // full by submitting more than `queue` jobs before workers can run
@@ -253,6 +259,9 @@ fn backpressure_answers_503_with_retry_after_and_recovers() {
 
 #[test]
 fn cancel_drains_and_is_terminal_over_http() {
+    // this daemon's memo counts into the process-global `sim.memo.*`
+    // counters the coalescing test pins: never run beside it
+    let _guard = memsim_obs::test_lock();
     let dir = tmp_dir("cancel");
     let server = start(&dir, 1, 8);
     let client = client_of(&server);
@@ -292,6 +301,9 @@ fn cancel_drains_and_is_terminal_over_http() {
 
 #[test]
 fn replay_jobs_share_the_content_addressed_trace_store() {
+    // this daemon's memo counts into the process-global `sim.memo.*`
+    // counters the coalescing test pins: never run beside it
+    let _guard = memsim_obs::test_lock();
     let dir = tmp_dir("replay");
     let server = start(&dir, 2, 8);
     let client = client_of(&server);

@@ -7,7 +7,7 @@
 use memsim_cache::{
     shard_class_bits, Cache, CacheConfig, CountingMemory, Hierarchy, LevelStats, ShardedHierarchy,
 };
-use memsim_core::{simulate_structure, simulate_structure_engine, Engine, Scale, Structure};
+use memsim_core::{walk, Engine, RunOpts, Scale, Source, Structure};
 use memsim_integration_tests::test_scale;
 use memsim_trace::{AccessKind, TraceEvent, TraceSink};
 use memsim_workloads::WorkloadKind;
@@ -167,10 +167,18 @@ fn paper_structures_match_across_engines() {
     ];
     for kind in [WorkloadKind::Cg, WorkloadKind::Hash] {
         for structure in &structures {
-            let seq = simulate_structure(kind, &scale, structure);
+            let seq = walk(Source::Live(kind), &scale, structure, &RunOpts::default()).unwrap();
             for shards in [2usize, 7] {
-                let par =
-                    simulate_structure_engine(kind, &scale, structure, Engine::Sharded(shards));
+                let par = walk(
+                    Source::Live(kind),
+                    &scale,
+                    structure,
+                    &RunOpts {
+                        engine: Engine::Sharded(shards),
+                        ..RunOpts::default()
+                    },
+                )
+                .unwrap();
                 assert_eq!(
                     par.caches, seq.caches,
                     "{kind:?} {structure:?} diverged at {shards} shards"
@@ -189,13 +197,23 @@ fn paper_structures_match_across_engines() {
 #[test]
 fn auto_engine_matches_sequential() {
     let scale = Scale::mini();
-    let seq = simulate_structure(WorkloadKind::Lu, &scale, &Structure::ThreeLevel);
-    let auto = simulate_structure_engine(
-        WorkloadKind::Lu,
+    let seq = walk(
+        Source::Live(WorkloadKind::Lu),
         &scale,
         &Structure::ThreeLevel,
-        Engine::auto(),
-    );
+        &RunOpts::default(),
+    )
+    .unwrap();
+    let auto = walk(
+        Source::Live(WorkloadKind::Lu),
+        &scale,
+        &Structure::ThreeLevel,
+        &RunOpts {
+            engine: Engine::auto(),
+            ..RunOpts::default()
+        },
+    )
+    .unwrap();
     assert_eq!(auto.caches, seq.caches);
     assert_eq!(auto.mem, seq.mem);
 }

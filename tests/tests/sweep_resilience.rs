@@ -7,8 +7,8 @@
 
 use memsim_core::configs::n_by_name;
 use memsim_core::journal::load_journal;
-use memsim_core::runner::evaluate_grid_sweep;
-use memsim_core::{sweep_fingerprint, Design, Scale, SimCache, SweepCtx, JOURNAL_FILE};
+use memsim_core::runner::evaluate_grid;
+use memsim_core::{sweep_fingerprint, Design, RunOpts, Scale, SimCache, SweepCtx, JOURNAL_FILE};
 use memsim_tech::Technology;
 use memsim_workloads::WorkloadKind;
 use proptest::prelude::*;
@@ -54,7 +54,7 @@ fn poisoned_grid_completes_every_other_point() {
     let mut points = good_grid();
     points.insert(2, (WorkloadKind::Cg, poison()));
 
-    let outcome = evaluate_grid_sweep(&points, &scale, &cache, Some(2), None);
+    let outcome = evaluate_grid(&points, &scale, &cache, Some(2), None, &RunOpts::default());
     assert!(!outcome.interrupted);
     assert_eq!(outcome.failures.len(), 1, "exactly the poison point fails");
     let f = &outcome.failures[0];
@@ -85,24 +85,43 @@ fn poisoned_sweep_journals_survivors_and_resume_skips_them() {
     let mut points = good_grid();
     points.push((WorkloadKind::Hash, poison()));
 
-    let ctx = SweepCtx::fresh(&scale, &journal).unwrap();
-    let outcome = evaluate_grid_sweep(&points, &scale, &cache, Some(2), Some(&ctx));
+    let ctx = SweepCtx::fresh(&scale, &journal, &RunOpts::default()).unwrap();
+    let outcome = evaluate_grid(
+        &points,
+        &scale,
+        &cache,
+        Some(2),
+        Some(&ctx),
+        &RunOpts::default(),
+    );
     assert_eq!(outcome.failures.len(), 1);
     assert_eq!(ctx.persisted_points(), 4);
 
     // the journal holds the four survivors plus one failure entry; the
     // failure is recorded but never trusted as a completed point
-    let rec = load_journal(&journal, &sweep_fingerprint(&scale)).unwrap();
+    let rec = load_journal(
+        &journal,
+        &sweep_fingerprint(&scale, &RunOpts::default()),
+        &RunOpts::default(),
+    )
+    .unwrap();
     assert_eq!(rec.points.len(), 4);
     assert_eq!(rec.failed_entries, 1);
     assert_eq!(rec.corrupt_lines, 0);
 
     // resuming serves all four survivors from disk and re-attempts (and
     // re-fails) only the poison point
-    let (ctx2, rec2) = SweepCtx::resume(&scale, &journal).unwrap();
+    let (ctx2, rec2) = SweepCtx::resume(&scale, &journal, &RunOpts::default()).unwrap();
     assert_eq!(rec2.points.len(), 4);
     let cache2 = SimCache::new();
-    let outcome2 = evaluate_grid_sweep(&points, &scale, &cache2, Some(2), Some(&ctx2));
+    let outcome2 = evaluate_grid(
+        &points,
+        &scale,
+        &cache2,
+        Some(2),
+        Some(&ctx2),
+        &RunOpts::default(),
+    );
     assert_eq!(outcome2.skipped, 4, "all survivors served from the journal");
     assert_eq!(outcome2.failures.len(), 1);
     assert_eq!(outcome2.completed().len(), 4);
@@ -119,12 +138,27 @@ fn resumed_points_are_bit_identical() {
     let points = good_grid();
 
     let cache = SimCache::new();
-    let ctx = SweepCtx::fresh(&scale, &journal).unwrap();
-    let fresh = evaluate_grid_sweep(&points, &scale, &cache, Some(2), Some(&ctx)).completed();
+    let ctx = SweepCtx::fresh(&scale, &journal, &RunOpts::default()).unwrap();
+    let fresh = evaluate_grid(
+        &points,
+        &scale,
+        &cache,
+        Some(2),
+        Some(&ctx),
+        &RunOpts::default(),
+    )
+    .completed();
 
     let cache2 = SimCache::new();
-    let (ctx2, _) = SweepCtx::resume(&scale, &journal).unwrap();
-    let outcome = evaluate_grid_sweep(&points, &scale, &cache2, Some(2), Some(&ctx2));
+    let (ctx2, _) = SweepCtx::resume(&scale, &journal, &RunOpts::default()).unwrap();
+    let outcome = evaluate_grid(
+        &points,
+        &scale,
+        &cache2,
+        Some(2),
+        Some(&ctx2),
+        &RunOpts::default(),
+    );
     assert_eq!(outcome.skipped, points.len(), "nothing re-simulated");
     let resumed = outcome.completed();
 
@@ -159,7 +193,7 @@ fn pristine_journal() -> &'static Pristine {
         std::fs::remove_file(&journal).ok();
         let scale = Scale::mini();
         let cache = SimCache::new();
-        let ctx = SweepCtx::fresh(&scale, &journal).unwrap();
+        let ctx = SweepCtx::fresh(&scale, &journal, &RunOpts::default()).unwrap();
         let points = [
             (WorkloadKind::Cg, Design::Baseline),
             (
@@ -170,7 +204,15 @@ fn pristine_journal() -> &'static Pristine {
                 },
             ),
         ];
-        let results = evaluate_grid_sweep(&points, &scale, &cache, Some(1), Some(&ctx)).completed();
+        let results = evaluate_grid(
+            &points,
+            &scale,
+            &cache,
+            Some(1),
+            Some(&ctx),
+            &RunOpts::default(),
+        )
+        .completed();
         let expected = results
             .iter()
             .map(|r| {
@@ -182,7 +224,11 @@ fn pristine_journal() -> &'static Pristine {
             .collect();
         let bytes = std::fs::read(&journal).unwrap();
         std::fs::remove_dir_all(&dir).ok();
-        (bytes, sweep_fingerprint(&scale), expected)
+        (
+            bytes,
+            sweep_fingerprint(&scale, &RunOpts::default()),
+            expected,
+        )
     })
 }
 
@@ -207,7 +253,7 @@ proptest! {
         let dir = tmp_dir("corrupt");
         let path = dir.join("mutated.journal.jsonl");
         std::fs::write(&path, &mutated).unwrap();
-        let rec = load_journal(&path, fp).unwrap();
+        let rec = load_journal(&path, fp, &RunOpts::default()).unwrap();
 
         prop_assert!(rec.points.len() <= expected.len());
         for (key, point) in &rec.points {
