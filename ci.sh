@@ -225,13 +225,15 @@ cmp "$smoke_dir/trace-sharded-a.json" "$smoke_dir/trace-sharded-b.json"
 # Sampled replay: warm-vs-measure phase spans and CI-halfwidth counter
 # tracks. The first run pays the one-time interval-plan build (an extra
 # sample.plan span) and warms the plan sidecar; the next two are the
-# byte-stability pair, diffed against the committed golden.
+# byte-stability pair, diffed against the committed golden. `--shards seq`
+# pins the manifest's "engine" to the golden's on any core count (the
+# sampled walk is sequential whatever the engine).
 MEMSIM_OBS_DETERMINISTIC=1 "$BIN" replay "$smoke_dir/hash.trace" --designs baseline,nmm \
-    --sample interval=32k,clusters=2 --threads 1 --quiet \
+    --sample interval=32k,clusters=2 --shards seq --threads 1 --quiet \
     --trace-out "$smoke_dir/trace-planwarm.json"
 for t in a b; do
     MEMSIM_OBS_DETERMINISTIC=1 "$BIN" replay "$smoke_dir/hash.trace" --designs baseline,nmm \
-        --sample interval=32k,clusters=2 --threads 1 --quiet \
+        --sample interval=32k,clusters=2 --shards seq --threads 1 --quiet \
         --trace-out "$smoke_dir/trace-sampled-$t.json"
 done
 cmp "$smoke_dir/trace-sampled-a.json" "$smoke_dir/trace-sampled-b.json"

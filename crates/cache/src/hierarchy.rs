@@ -16,6 +16,40 @@ pub trait MainMemory {
     /// A write of `bytes` at `addr` (a dirty writeback from the last cache
     /// level, or a demand write when there are no caches).
     fn store(&mut self, addr: u64, bytes: u32);
+    /// End of stream: write back whatever the terminal still holds. A
+    /// [`Hierarchy`] calls this after draining its own levels, so a
+    /// terminal that is itself a cache stack drains below them.
+    fn drain(&mut self) {}
+}
+
+/// A terminal that broadcasts every request to each of its memories, in
+/// order: the per-structure tails below a cache prefix they all share.
+/// Because a [`Cache`] never sees the levels beneath it, the prefix sends
+/// the same traffic down whatever sits below, so each member receives
+/// exactly the stream it would receive alone under that prefix.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Fanout<M>(pub Vec<M>);
+
+impl<M: MainMemory> MainMemory for Fanout<M> {
+    #[inline]
+    fn load(&mut self, addr: u64, bytes: u32) {
+        for m in &mut self.0 {
+            m.load(addr, bytes);
+        }
+    }
+
+    #[inline]
+    fn store(&mut self, addr: u64, bytes: u32) {
+        for m in &mut self.0 {
+            m.store(addr, bytes);
+        }
+    }
+
+    fn drain(&mut self) {
+        for m in &mut self.0 {
+            m.drain();
+        }
+    }
 }
 
 /// The simplest terminal: counts requests and bytes.
@@ -200,9 +234,14 @@ impl<M: MainMemory> Hierarchy<M> {
                 c.add(delta);
             }
         }
-        state.probes.lb_hits.store(lb_hits);
-        for (probe, cache) in state.probes.levels.iter().zip(self.levels.iter()) {
-            probe.publish(&cache.counter_values());
+        for set in &state.probes.prefixes {
+            set.lb_hits.store(lb_hits);
+        }
+        for (i, cache) in self.levels.iter().enumerate() {
+            let values = cache.counter_values();
+            for set in &state.probes.prefixes {
+                set.levels[i].publish(&values);
+            }
         }
     }
 
@@ -373,7 +412,8 @@ impl<M: MainMemory> Hierarchy<M> {
         }
     }
 
-    /// Drain all resident dirty blocks to memory, top-down. Idempotent.
+    /// Drain all resident dirty blocks to memory, top-down, then drain
+    /// the memory itself. Idempotent.
     pub fn drain(&mut self) {
         if self.drained {
             return;
@@ -385,6 +425,7 @@ impl<M: MainMemory> Hierarchy<M> {
                 self.writeback(level + 1, addr, bytes);
             }
         }
+        self.memory.drain();
         // Authoritative final publication: after this, registry values are
         // exact, not one-epoch-stale.
         self.publish_probes();
@@ -398,6 +439,31 @@ impl<M: MainMemory> Hierarchy<M> {
                 panic!("stats inconsistent — {err} (full: {:?})", c.stats());
             }
         }
+    }
+}
+
+/// A cache stack as the terminal of a shorter one: a load is a fill
+/// request walking the stack from its top level, a store is a writeback
+/// arriving there. The level requests are the ones the stacked hierarchy
+/// issues at the same depth, so `Hierarchy<Fanout<Hierarchy<M>>>` counts
+/// exactly what each stacked `Hierarchy<M>` counts.
+impl<M: MainMemory> MainMemory for Hierarchy<M> {
+    #[inline]
+    fn load(&mut self, addr: u64, bytes: u32) {
+        if self.levels.is_empty() {
+            self.memory.load(addr, bytes);
+        } else {
+            self.demand(addr, AccessKind::Load, bytes);
+        }
+    }
+
+    #[inline]
+    fn store(&mut self, addr: u64, bytes: u32) {
+        self.writeback(0, addr, bytes);
+    }
+
+    fn drain(&mut self) {
+        Hierarchy::drain(self);
     }
 }
 
@@ -709,6 +775,85 @@ mod property_tests {
                 let drained: u64 = 0;
                 let _ = drained;
                 prop_assert_eq!(c.resident_blocks(), 0, "{} not fully drained", c.config().name);
+            }
+        }
+
+        /// A shared prefix over a [`Fanout`] of tails counts, level by
+        /// level and at every terminal, exactly what each stacked 2–4
+        /// level hierarchy (prefix + that tail) counts on the same stream,
+        /// both mid-stream and after the drain.
+        #[test]
+        fn fanout_of_tails_matches_stacked_hierarchies(
+            prefix_len in 1usize..3,
+            tail_lens in proptest::collection::vec(0usize..3, 1..4),
+            l1_sets_log in 2u32..5,
+            page_log in 6u32..10,
+            ops in proptest::collection::vec((0u64..(1 << 16), proptest::bool::ANY), 50..400),
+        ) {
+            // depth-indexed geometry; a tail's last level is a sectored
+            // page cache, and each tail has its own associativity
+            let level = |depth: usize, page: bool, ways: u32| {
+                let block = if page { 1u32 << page_log } else { 64 };
+                let sets = 1u64 << (l1_sets_log + depth as u32);
+                let mut cfg = CacheConfig::new(&format!("C{depth}"), sets * u64::from(block * ways), block, ways);
+                if block > 64 {
+                    cfg = cfg.with_sectors(64);
+                }
+                Cache::new(cfg)
+            };
+            let prefix: Vec<Cache> = (0..prefix_len).map(|d| level(d, false, 2)).collect();
+            let tails: Vec<Vec<Cache>> = tail_lens
+                .iter()
+                .enumerate()
+                .map(|(t, &len)| {
+                    let len = len.clamp(2 - prefix_len, 4 - prefix_len);
+                    (0..len)
+                        .map(|j| level(prefix_len + j, j + 1 == len, 2 + t as u32))
+                        .collect()
+                })
+                .collect();
+            let mut stacked: Vec<Hierarchy<CountingMemory>> = tails
+                .iter()
+                .map(|tail| {
+                    let levels = prefix.iter().chain(tail).cloned().collect();
+                    Hierarchy::new(levels, CountingMemory::default())
+                })
+                .collect();
+            let fanout = Fanout(
+                tails
+                    .into_iter()
+                    .map(|tail| Hierarchy::new(tail, CountingMemory::default()))
+                    .collect(),
+            );
+            let mut fused = Hierarchy::new(prefix, fanout);
+            for &(addr, is_store) in &ops {
+                let kind = if is_store { AccessKind::Store } else { AccessKind::Load };
+                let ev = TraceEvent { addr: addr & !7, size: 8, kind };
+                fused.access(ev);
+                for h in &mut stacked {
+                    h.access(ev);
+                }
+            }
+            for drained in [false, true] {
+                if drained {
+                    fused.flush();
+                    for h in &mut stacked {
+                        h.flush();
+                    }
+                }
+                let shared: Vec<_> = fused.levels().iter().map(|c| c.stats()).collect();
+                for (t, h) in stacked.iter().enumerate() {
+                    let tail = &fused.memory().0[t];
+                    let want: Vec<_> = h.levels().iter().map(|c| c.stats()).collect();
+                    let got: Vec<_> = shared
+                        .iter()
+                        .cloned()
+                        .chain(tail.levels().iter().map(|c| c.stats()))
+                        .collect();
+                    prop_assert_eq!(got, want, "tail {} levels (drained: {})", t, drained);
+                    prop_assert_eq!(tail.memory(), h.memory(), "tail {} memory (drained: {})", t, drained);
+                    prop_assert_eq!(fused.total_refs(), h.total_refs());
+                }
             }
         }
 

@@ -14,6 +14,8 @@
 //!   stores; fills propagate upward as loads; at the terminal memory
 //!   "every access to fetch a cache line is counted as a read operation"
 //!   and dirty writebacks count as writes — the paper's counting semantics.
+//!   A hierarchy is itself a [`MainMemory`], so a [`Fanout`] of them lets
+//!   one shared cache prefix serve several deeper structures in one pass.
 //! * [`LevelStats`] — the per-level statistics consumed by `memsim-core`.
 //!
 //! # Example
@@ -45,7 +47,7 @@ mod stats;
 
 pub use cache::{AccessOutcome, Cache, CounterValues, WritebackOutcome};
 pub use config::{Associativity, CacheConfig, WritebackMissPolicy};
-pub use hierarchy::{CountingMemory, Hierarchy, MainMemory};
+pub use hierarchy::{CountingMemory, Fanout, Hierarchy, MainMemory};
 pub use policy::ReplacementPolicy;
 pub use probes::{HierarchyProbes, LevelProbes};
 pub use sharded::{shard_class_bits, ShardMerge, ShardedHierarchy, ShardedRun, CHUNK_EVENTS};

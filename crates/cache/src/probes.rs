@@ -80,13 +80,34 @@ impl LevelProbes {
 /// [`crate::Hierarchy::set_probes`]. The shared `progress.events` /
 /// `progress.chunks` counters are registered automatically; replay shards
 /// append their per-shard counter via
-/// [`HierarchyProbes::add_events_counter`].
+/// [`HierarchyProbes::add_events_counter`]. A hierarchy whose levels are
+/// shared by several structures publishes them under each structure's
+/// prefix (see [`HierarchyProbes::add_prefix`]).
 #[derive(Debug, Clone)]
 pub struct HierarchyProbes {
     pub(crate) events: Vec<Arc<Counter>>,
     pub(crate) chunks: Vec<Arc<Counter>>,
+    /// One handle set per prefix the hierarchy publishes under.
+    pub(crate) prefixes: Vec<PrefixProbes>,
+}
+
+/// The per-prefix handles: the line-buffer count and every level.
+#[derive(Debug, Clone)]
+pub(crate) struct PrefixProbes {
     pub(crate) lb_hits: Arc<Counter>,
     pub(crate) levels: Vec<LevelProbes>,
+}
+
+impl PrefixProbes {
+    fn register(reg: &MetricsRegistry, prefix: &str, level_names: &[&str]) -> Self {
+        Self {
+            lb_hits: reg.counter(&format!("{prefix}.l1_line_buffer_hits")),
+            levels: level_names
+                .iter()
+                .map(|name| LevelProbes::register(reg, &format!("{prefix}.{name}")))
+                .collect(),
+        }
+    }
 }
 
 impl HierarchyProbes {
@@ -99,12 +120,16 @@ impl HierarchyProbes {
         Self {
             events: vec![reg.counter("progress.events")],
             chunks: vec![reg.counter("progress.chunks")],
-            lb_hits: reg.counter(&format!("{prefix}.l1_line_buffer_hits")),
-            levels: level_names
-                .iter()
-                .map(|name| LevelProbes::register(reg, &format!("{prefix}.{name}")))
-                .collect(),
+            prefixes: vec![PrefixProbes::register(reg, prefix, level_names)],
         }
+    }
+
+    /// Also publish the same levels (and line-buffer count) under
+    /// `prefix`. The progress counters still advance once per event.
+    pub fn add_prefix(&mut self, reg: &MetricsRegistry, prefix: &str, level_names: &[&str]) {
+        debug_assert_eq!(level_names.len(), self.level_count());
+        self.prefixes
+            .push(PrefixProbes::register(reg, prefix, level_names));
     }
 
     /// Also advance `counter` by the per-epoch event delta (e.g. a replay
@@ -120,6 +145,6 @@ impl HierarchyProbes {
 
     /// Number of per-level probe sets.
     pub fn level_count(&self) -> usize {
-        self.levels.len()
+        self.prefixes[0].levels.len()
     }
 }

@@ -1920,7 +1920,11 @@ mod tests {
             "replay",
             &trace,
             "--designs",
-            "baseline",
+            "baseline,nmm",
+            "--shards",
+            "seq",
+            "--threads",
+            "1",
             "--json",
             "--metrics-out",
             &m2,
@@ -1930,7 +1934,67 @@ mod tests {
         assert!(doc.contains("\"replay.3L.L1.load_hits\""), "{doc}");
         assert!(doc.contains("\"replay.3L.reader.crc_verified_chunks\""));
         assert!(doc.contains("\"progress.shards_done\""));
+        // one sequential walk serves both structures: the NMM structure
+        // exports its shared L1 (with the probe-only telemetry) next to
+        // its own L4 and reader counters
+        let nmm = memsim_core::parse_design_list("nmm").unwrap()[0]
+            .structure(&Scale::mini())
+            .obs_label();
+        for key in [
+            "L1.load_hits",
+            "L1.mru_hits",
+            "l1_line_buffer_hits",
+            "L4.load_hits",
+            "L4.mru_hits",
+            "MEM.loads",
+            "reader.crc_verified_chunks",
+        ] {
+            let key = format!("\"replay.{nmm}.{key}\"");
+            assert!(doc.contains(&key), "{key} missing: {doc}");
+        }
 
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn replay_of_a_corrupt_trace_fails_on_the_baseline() {
+        // the fused walk of baseline, nmm and 4lc reads the corrupt chunk,
+        // so the baseline fails with the others and nothing can normalize
+        let dir = std::env::temp_dir().join(format!("memsim-cli-corrupt-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let trace = dir.join("hash.trace");
+        memsim_core::record_workload(WorkloadKind::Hash, Class::Mini, &trace).unwrap();
+        let mut bytes = std::fs::read(&trace).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x5a;
+        std::fs::write(&trace, &bytes).unwrap();
+        let err = run(&args(&[
+            "replay",
+            &trace.display().to_string(),
+            "--designs",
+            "baseline,nmm,4lc",
+            "--scale",
+            "mini",
+            "--threads",
+            "1",
+            "--shards",
+            "seq",
+            "--quiet",
+        ]))
+        .unwrap_err();
+        assert!(
+            err.message.starts_with("baseline shard failed"),
+            "{}",
+            err.message
+        );
+        assert!(!err.show_usage);
+        // every structure of the walk is named, each with the decode error
+        assert_eq!(
+            err.message.matches("structure ").count(),
+            3,
+            "{}",
+            err.message
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

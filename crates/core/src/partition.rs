@@ -217,10 +217,12 @@ mod tests {
         walk(
             cg,
             &Scale::mini(),
-            &Structure::ThreeLevel,
+            &[Structure::ThreeLevel],
             &RunOpts::default(),
+            None,
         )
         .unwrap()
+        .remove(0)
     }
 
     #[test]

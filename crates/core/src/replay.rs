@@ -4,16 +4,19 @@
 //! The live path re-generates the stream per structure (`runner`
 //! memoizes, but each distinct structure still pays a full workload
 //! execution — data initialization, kernel arithmetic, verification). The
-//! replay path pays the workload once at record time; after that every
-//! structure in the config grid is a pure trace walk, and the walks shard
-//! across threads with each worker streaming the file independently.
+//! replay path pays the workload once at record time; after that the
+//! config grid is a pure trace walk. The grid's distinct structures split
+//! into one group per worker thread, and each group is served by one
+//! fused pass: the file is decoded once and walks the shared L1–L3 once,
+//! and L3's traffic fans out to each structure's own L4 and terminal.
 //! Cache statistics depend only on the address stream and the geometry,
 //! so a replayed run is bit-identical to the live run it was recorded
-//! from (the `record_replay` integration tests pin this).
+//! from, fused or not (the `record_replay` integration tests pin this).
 
 use crate::design::{Design, Structure};
 use crate::runner::{
-    catch_panic, evaluate_run, parallel_slots, walk_as, EvalResult, RawRun, RunOpts, Source,
+    catch_panic, evaluate_run, parallel_slots, walk, worker_count, Engine, EvalResult, RawRun,
+    RunOpts, Source,
 };
 use crate::sampling::{plan_for, SampleMode};
 use crate::scale::Scale;
@@ -113,14 +116,15 @@ pub fn trace_workload(path: &Path) -> Result<WorkloadKind, String> {
 }
 
 /// One hierarchy structure whose trace walk did not survive, with every
-/// design that depended on it.
+/// design that depended on it. A fused walk that fails strands every
+/// structure it served, each with the same message.
 #[derive(Debug, Clone)]
 pub struct ReplayFailure {
-    /// The structure whose shard failed.
+    /// The structure whose walk failed.
     pub structure: Structure,
     /// The designs that would have been costed from that structure's run.
     pub designs: Vec<Design>,
-    /// The shard's error (decode error, or a panic payload).
+    /// The walk's error (decode error, or a panic payload).
     pub message: String,
 }
 
@@ -164,21 +168,32 @@ impl ReplayOutcome {
     }
 }
 
-/// Evaluate a grid of designs against one recorded trace, sharded in
-/// parallel: the distinct hierarchy *structures* among `designs` are
-/// walked concurrently under `opts` (each worker streams the file
-/// independently, so there is no shared decode state to contend on), then
+/// Evaluate a grid of designs against one recorded trace: the distinct
+/// hierarchy *structures* among `designs` are walked under `opts`, then
 /// every design is costed analytically from its structure's run — the
 /// same two-phase split as the live [`crate::runner::evaluate_grid`], with
-/// the workload execution replaced by a trace walk. With sampling on,
-/// each walk simulates one representative interval per cluster of the
-/// trace (per the shared [`crate::SamplePlan`]) and extrapolates.
+/// the workload execution replaced by a trace walk.
 ///
-/// Fault-isolated: a shard that fails to decode (corrupt chunk, truncated
-/// file mid-walk) or panics strands only the designs sharing its
-/// structure; every other shard completes and its designs are costed.
-/// Errors that precede the walk (unreadable header, invalid design, a
-/// sample plan that cannot be built) still fail the whole call;
+/// On the sequential full-fidelity engine the structures are dealt, in
+/// first-appearance order, round-robin into `min(threads, structures)`
+/// groups (`threads` defaults to the available parallelism), and each
+/// group is one fused [`walk`] on its own worker: one decode and one
+/// L1–L3 walk per group, however many structures it holds. With
+/// `--threads 1` the whole grid is a single pass over the file. Dealing
+/// round-robin spreads the page-cache tails, which carry a walk's
+/// per-structure cost, over the groups: the 3-level baseline, whose tail
+/// is empty, comes first in the CLI's grids and shares a pass with one of
+/// them. The
+/// sharded engine and the sampled walk take one structure per worker
+/// slot; with sampling on, each walk simulates one representative
+/// interval per cluster of the trace (per the shared
+/// [`crate::SamplePlan`]) and extrapolates.
+///
+/// Fault-isolated per walk: a walk that fails to decode (corrupt chunk,
+/// truncated file mid-walk) or panics strands every design of the
+/// structures it served; every other walk completes and its designs are
+/// costed. Errors that precede the walk (unreadable header, invalid
+/// design, a sample plan that cannot be built) still fail the whole call;
 /// [`ReplayOutcome::strict`] fails it on any stranded design too.
 pub fn replay_grid(
     path: &Path,
@@ -198,47 +213,67 @@ pub fn replay_grid(
     }
 
     // distinct structures, in first-appearance order
-    let mut structures: Vec<Structure> = Vec::new();
+    let mut distinct: Vec<Structure> = Vec::new();
     for d in designs {
         let s = d.structure(scale);
-        if !structures.contains(&s) {
-            structures.push(s);
+        if !distinct.contains(&s) {
+            distinct.push(s);
         }
     }
+    // Deal the structures round-robin into the walks' groups and store
+    // them group-major, so each group is a contiguous slice.
+    let n = distinct.len();
+    let k = if opts.engine == Engine::Sequential && !opts.sample.is_on() {
+        worker_count(threads, n).min(n)
+    } else {
+        n
+    };
+    let structures: Vec<Structure> = (0..k)
+        .flat_map(|g| distinct.iter().skip(g).step_by(k).copied())
+        .collect();
+    let mut rest = structures.as_slice();
+    let groups: Vec<&[Structure]> = (0..k)
+        .map(|g| {
+            let (group, tail) = rest.split_at((n - g).div_ceil(k));
+            rest = tail;
+            group
+        })
+        .collect();
 
     let obs_on = memsim_obs::enabled();
     if obs_on {
         // Seed the shard progress counters so the sampler can show
-        // completion and extrapolate an ETA from the first finished shard.
+        // completion and extrapolate an ETA from the first finished walk.
         let reg = memsim_obs::global();
-        reg.gauge("progress.shards_total")
-            .set(structures.len() as u64);
+        reg.gauge("progress.shards_total").set(groups.len() as u64);
         reg.counter("progress.shards_done");
     }
 
     let runs: Vec<Result<Arc<RawRun>, String>> = parallel_slots(
         "memsim-replay",
-        structures.len(),
+        groups.len(),
         threads,
         || false,
-        |i| {
-            // Isolate panics per shard for the same reason as the live
-            // grid: one bad shard must not take the others down.
-            let run = match catch_panic(|| {
-                walk_as(Source::Trace(path), scale, &structures[i], opts, Some(i))
-            }) {
-                Ok(Ok(run)) => Ok(Arc::new(run)),
-                Ok(Err(e)) => Err(e),
-                Err(message) => Err(format!("shard panicked: {message}")),
-            };
+        |g| {
+            // Isolate panics per walk for the same reason as the live
+            // grid: one bad walk must not take the others down.
+            let runs = catch_panic(|| walk(Source::Trace(path), scale, groups[g], opts, Some(g)))
+                .unwrap_or_else(|message| Err(format!("shard panicked: {message}")));
             if obs_on {
                 memsim_obs::global().counter("progress.shards_done").inc();
             }
-            run
+            runs
         },
     )
     .into_iter()
-    .map(|slot| slot.expect("missing replay result"))
+    .zip(&groups)
+    .flat_map(|(slot, group)| match slot.expect("missing replay result") {
+        Ok(runs) => runs
+            .into_iter()
+            .map(|r| Ok(Arc::new(r)))
+            .collect::<Vec<_>>(),
+        Err(message) => vec![Err(message); group.len()],
+    })
     .collect();
 
     let mut results = Vec::new();
@@ -291,11 +326,17 @@ mod tests {
         assert!(summary.bytes_per_event() > 0.0);
         assert_eq!(trace_workload(&path).unwrap(), WorkloadKind::Hash);
 
+        // three structures over two workers: a fused group of two and
+        // a lone walk
         let designs = vec![
             Design::Baseline,
             Design::Nmm {
                 nvm: Technology::Pcm,
                 config: n_configs()[0],
+            },
+            Design::FourLc {
+                llc: Technology::Edram,
+                config: crate::configs::eh_configs()[0],
             },
         ];
         let opts = RunOpts::default();
@@ -322,13 +363,15 @@ mod tests {
         record_workload(WorkloadKind::Hash, Class::Mini, &path).unwrap();
         let st = Structure::ThreeLevel;
         let trace = Source::Trace(&path);
-        let seq = crate::runner::walk(trace, &scale, &st, &RunOpts::default()).unwrap();
+        let seq = walk(trace, &scale, &[st], &RunOpts::default(), None)
+            .unwrap()
+            .remove(0);
         for shards in [2usize, 7] {
             let opts = RunOpts {
-                engine: crate::runner::Engine::Sharded(shards),
+                engine: Engine::Sharded(shards),
                 ..RunOpts::default()
             };
-            let sh = crate::runner::walk(trace, &scale, &st, &opts).unwrap();
+            let sh = walk(trace, &scale, &[st], &opts, None).unwrap().remove(0);
             assert_eq!(sh.caches, seq.caches, "shards={shards}");
             assert_eq!(sh.mem, seq.mem, "shards={shards}");
             assert_eq!(sh.per_region, seq.per_region, "shards={shards}");

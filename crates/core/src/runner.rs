@@ -17,7 +17,10 @@ use crate::model::Metrics;
 use crate::partition::{self, Placement};
 use crate::sampling::{self, SampleMode};
 use crate::scale::Scale;
-use memsim_cache::{Cache, CacheConfig, Hierarchy, HierarchyProbes, LevelStats, ShardedHierarchy};
+use memsim_cache::{
+    Cache, CacheConfig, Fanout, Hierarchy, HierarchyProbes, LevelProbes, LevelStats,
+    ShardedHierarchy,
+};
 use memsim_memory::{PartitionedMemory, RegionTraffic};
 use memsim_tech::Technology;
 use memsim_trace::{Region, TraceSink};
@@ -148,65 +151,72 @@ pub enum Source<'a> {
     Trace(&'a Path),
 }
 
-/// The cache stack of a `structure` at `scale` (L1/L2/L3, plus the added
-/// sectored page-cache level for [`Structure::WithL4`]) over a terminal
-/// that attributes traffic to `regions`. Every walk — live, replayed,
-/// sampled — gets its hierarchy here, so their stats agree. The terminal
-/// collects per-region traffic for every structure; its aggregate equals
-/// a flat memory's counters because everything is placed on the DRAM
-/// side.
+/// The levels every structure shares: L1, L2 and L3 at `scale`.
+fn shared_levels(scale: &Scale) -> Vec<Cache> {
+    [
+        ("L1", scale.l1_bytes, scale.l1_ways),
+        ("L2", scale.l2_bytes, scale.l2_ways),
+        ("L3", scale.l3_bytes, scale.l3_ways),
+    ]
+    .into_iter()
+    .map(|(name, bytes, ways)| Cache::new(CacheConfig::new(name, bytes, scale.line_bytes, ways)))
+    .collect()
+}
+
+/// The levels `structure` adds below L3: none for
+/// [`Structure::ThreeLevel`], the sectored page cache for
+/// [`Structure::WithL4`].
+fn tail_levels(scale: &Scale, structure: &Structure) -> Vec<Cache> {
+    let Structure::WithL4 {
+        capacity_bytes,
+        page_bytes,
+    } = structure
+    else {
+        return Vec::new();
+    };
+    let mut ways = scale.l4_ways;
+    // keep the set count a power of two for small scaled capacities
+    while ways > 1
+        && !(capacity_bytes / (u64::from(*page_bytes) * u64::from(ways))).is_power_of_two()
+    {
+        ways /= 2;
+    }
+    let cap = capacity_bytes - capacity_bytes % (u64::from(*page_bytes) * u64::from(ways));
+    let mut cfg = CacheConfig::new(
+        "L4",
+        cap.max(u64::from(*page_bytes) * u64::from(ways)),
+        *page_bytes,
+        ways,
+    );
+    // pages write back at line granularity: the paper's simulator
+    // tracks dirty cache *lines*, and those are what reach memory
+    if *page_bytes > scale.line_bytes {
+        cfg = cfg.with_sectors(scale.line_bytes);
+    }
+    vec![Cache::new(cfg)]
+}
+
+/// The terminal below every structure: it collects per-region traffic,
+/// and its aggregate equals a flat memory's counters because everything
+/// is placed on the DRAM side.
+fn terminal(regions: &[Region]) -> PartitionedMemory {
+    PartitionedMemory::new(regions, Technology::Pcm)
+}
+
+/// The whole cache stack of a `structure` at `scale` (the shared L1–L3
+/// plus its tail levels) over a terminal that attributes traffic to
+/// `regions`, for the walks that take one structure at a time (the
+/// sharded engine and the sampled walk). The sequential walk assembles
+/// the same levels as a shared top over per-structure tails, so every
+/// walk's stats agree.
 pub(crate) fn hierarchy_parts(
     scale: &Scale,
     structure: &Structure,
     regions: &[Region],
 ) -> (Vec<Cache>, PartitionedMemory) {
-    let mut caches = vec![
-        Cache::new(CacheConfig::new(
-            "L1",
-            scale.l1_bytes,
-            scale.line_bytes,
-            scale.l1_ways,
-        )),
-        Cache::new(CacheConfig::new(
-            "L2",
-            scale.l2_bytes,
-            scale.line_bytes,
-            scale.l2_ways,
-        )),
-        Cache::new(CacheConfig::new(
-            "L3",
-            scale.l3_bytes,
-            scale.line_bytes,
-            scale.l3_ways,
-        )),
-    ];
-    if let Structure::WithL4 {
-        capacity_bytes,
-        page_bytes,
-    } = structure
-    {
-        let mut ways = scale.l4_ways;
-        // keep the set count a power of two for small scaled capacities
-        while ways > 1
-            && !(capacity_bytes / (u64::from(*page_bytes) * u64::from(ways))).is_power_of_two()
-        {
-            ways /= 2;
-        }
-        let cap = capacity_bytes - capacity_bytes % (u64::from(*page_bytes) * u64::from(ways));
-        let mut cfg = CacheConfig::new(
-            "L4",
-            cap.max(u64::from(*page_bytes) * u64::from(ways)),
-            *page_bytes,
-            ways,
-        );
-        // pages write back at line granularity: the paper's simulator
-        // tracks dirty cache *lines*, and those are what reach memory
-        if *page_bytes > scale.line_bytes {
-            cfg = cfg.with_sectors(scale.line_bytes);
-        }
-        caches.push(Cache::new(cfg));
-    }
-    (caches, PartitionedMemory::new(regions, Technology::Pcm))
+    let mut caches = shared_levels(scale);
+    caches.extend(tail_levels(scale, structure));
+    (caches, terminal(regions))
 }
 
 /// Publish one level's final statistics into the global observability
@@ -235,80 +245,100 @@ fn publish_final_stats(prefix: &str, stats: &LevelStats) {
 
 /// How a full walk reports itself to the observability layer.
 struct WalkObs<'a> {
-    /// Counter prefix (`sim.<wl>.<label>` or `replay.<label>`); `None`
-    /// when observability is off.
-    prefix: Option<&'a str>,
-    /// Replay-grid worker index: the sequential walk also counts its
+    /// One counter prefix per structure (`sim.<wl>.<label>` or
+    /// `replay.<label>`); empty when observability is off.
+    prefixes: &'a [String],
+    /// Replay-grid group index: the sequential walk also counts its
     /// events into `progress.shard<i>.events`.
     shard: Option<usize>,
     /// Wrap the drain in a `drain` span (live walks report phases).
     drain_span: bool,
 }
 
-/// Walk `source` through `structure`'s hierarchy at `scale` under `opts`
-/// and harvest the counters. This is the expensive step: every reference
-/// (or, sampled, every reference of the representative windows) walks the
-/// hierarchy. Both engines yield bit-identical [`RawRun`] counters; the
-/// sharded engine trades the sequential path's per-epoch probe
-/// publication for per-shard progress telemetry, with the identical
-/// finals published at the end either way.
+/// Walk `source` through the hierarchy of every structure in `structures`
+/// at `scale` under `opts` and harvest one [`RawRun`] per structure, in
+/// order. This is the expensive step: every reference (or, sampled, every
+/// reference of the representative windows) walks the hierarchy.
+///
+/// The sequential full-fidelity walk serves the whole slice from one pass
+/// over the source: the stream is generated or decoded once and walks the
+/// shared L1–L3 once, and L3's traffic fans out to each structure's tail
+/// (its L4, if any, over its own terminal). A lone structure is the
+/// one-element case. The sharded engine and the sampled walk take one
+/// structure per pass. Every engine and grouping yields bit-identical
+/// [`RawRun`] counters; the sharded engine trades the sequential path's
+/// per-epoch probe publication for per-shard progress telemetry, with the
+/// identical finals published at the end either way.
+///
+/// `shard` attributes a trace walk to a replay-grid group: it names the
+/// span (`replay.shard<i>`) and the progress counter
+/// (`progress.shard<i>.events`), so the sampler can show per-group lag.
 ///
 /// `Err` carries a trace decode error or a sampling set-up failure
-/// (unrecordable workload, unbuildable plan). A live workload that fails
-/// its self-verification panics; grid workers catch both into
+/// (unrecordable workload, unbuildable plan); one error fails every
+/// structure of the pass. A live workload that fails its
+/// self-verification panics; grid workers catch both into
 /// [`FailedPoint`]s.
 pub fn walk(
     source: Source<'_>,
     scale: &Scale,
-    structure: &Structure,
-    opts: &RunOpts,
-) -> Result<RawRun, String> {
-    walk_as(source, scale, structure, opts, None)
-}
-
-/// [`walk`] with the replay grid's worker attribution: `shard` names a
-/// full trace walk's span (`replay.shard<i>`) and progress counter, so
-/// the sampler can show per-shard lag.
-pub(crate) fn walk_as(
-    source: Source<'_>,
-    scale: &Scale,
-    structure: &Structure,
+    structures: &[Structure],
     opts: &RunOpts,
     shard: Option<usize>,
-) -> Result<RawRun, String> {
+) -> Result<Vec<RawRun>, String> {
     if let SampleMode::On(spec) = opts.sample {
         // The stream is recorded once per machine, the interval plan is
         // memoized per (trace, spec), and only the representative
         // windows are walked — see `crate::sampling`.
-        return match source {
-            Source::Live(kind) => {
-                let path = sampling::cached_trace(kind, scale.class)?;
-                let plan = sampling::plan_for(&path, spec)?;
-                sampling::walk_windows(&path, scale, structure, &plan)
-                    .map_err(|e| format!("sampled replay of {}: {e}", path.display()))
-            }
-            Source::Trace(path) => {
-                let plan = sampling::plan_for(path, spec)?;
-                sampling::walk_windows(path, scale, structure, &plan).map_err(|e| e.to_string())
-            }
+        let (path, live) = match source {
+            Source::Live(kind) => (sampling::cached_trace(kind, scale.class)?, true),
+            Source::Trace(path) => (path.to_path_buf(), false),
         };
+        let plan = sampling::plan_for(&path, spec)?;
+        return structures
+            .iter()
+            .map(|structure| {
+                sampling::walk_windows(&path, scale, structure, &plan).map_err(|e| {
+                    if live {
+                        format!("sampled replay of {}: {e}", path.display())
+                    } else {
+                        e.to_string()
+                    }
+                })
+            })
+            .collect();
     }
-    let (mut span, prefix, run) = match source {
+    if let (Engine::Sharded(_), [_, _, ..]) = (opts.engine, structures) {
+        // the sharded engine splits one hierarchy's sets across workers,
+        // so each structure takes its own pass
+        return structures
+            .iter()
+            .map(|s| Ok(walk(source, scale, std::slice::from_ref(s), opts, shard)?.remove(0)))
+            .collect();
+    }
+    let labels: Vec<String> = structures.iter().map(Structure::obs_label).collect();
+    let prefixes = |scope: &str| -> Vec<String> {
+        if memsim_obs::enabled() {
+            labels.iter().map(|l| format!("{scope}.{l}")).collect()
+        } else {
+            Vec::new()
+        }
+    };
+    let (mut span, prefixes, runs) = match source {
         Source::Live(kind) => {
-            let prefix = memsim_obs::enabled()
-                .then(|| format!("sim.{}.{}", kind.name(), structure.obs_label()));
-            let span = memsim_obs::span!("sim.{}.{}", kind.name(), structure.obs_label());
+            let prefixes = prefixes(&format!("sim.{}", kind.name()));
+            let span = memsim_obs::span!("sim.{}.{}", kind.name(), labels.join("+"));
             let mut workload = {
                 let _s = memsim_obs::span!("generate");
                 kind.build(scale.class)
             };
             let regions = workload.space().regions().to_vec();
             let obs = WalkObs {
-                prefix: prefix.as_deref(),
+                prefixes: &prefixes,
                 shard: None,
                 drain_span: true,
             };
-            let run = walk_hierarchy(scale, structure, &regions, opts.engine, &obs, |sink| {
+            let runs = walk_hierarchy(scale, structures, &regions, opts.engine, &obs, |sink| {
                 let _s = memsim_obs::span!("simulate");
                 workload.run(sink);
                 Ok(())
@@ -320,29 +350,30 @@ pub(crate) fn walk_as(
                     panic!("{} failed self-verification: {e}", workload.name())
                 });
             }
-            (span, prefix, run)
+            (span, prefixes, runs)
         }
         Source::Trace(path) => {
             let span = match shard {
                 Some(i) => memsim_obs::span!("replay.shard{}", i),
                 None => memsim_obs::span!("replay.walk"),
             };
-            let prefix = memsim_obs::enabled().then(|| format!("replay.{}", structure.obs_label()));
+            let prefixes = prefixes("replay");
             let mut reader = TraceReader::open(path).map_err(|e| e.to_string())?;
             let regions = reader.header().regions.clone();
             let obs = WalkObs {
-                prefix: prefix.as_deref(),
+                prefixes: &prefixes,
                 shard,
                 drain_span: false,
             };
-            let run = walk_hierarchy(scale, structure, &regions, opts.engine, &obs, |sink| {
+            let runs = walk_hierarchy(scale, structures, &regions, opts.engine, &obs, |sink| {
                 replay_into(&mut reader, sink).map(drop)
             })
             .map_err(|e| e.to_string())?;
-            if let Some(prefix) = &prefix {
-                // Trace-health counters from the reader: every chunk that
-                // reached the sink passed its CRC check.
-                let reg = memsim_obs::global();
+            // Trace-health counters from the one reader, under every
+            // structure it served: every chunk that reached the sink
+            // passed its CRC check.
+            let reg = memsim_obs::global();
+            for prefix in &prefixes {
                 let store = |field: &str, v: u64| {
                     reg.counter(&format!("{prefix}.reader.{field}")).store(v);
                 };
@@ -350,68 +381,105 @@ pub(crate) fn walk_as(
                 store("crc_verified_chunks", reader.crc_verified_chunks());
                 store("payload_bytes", reader.payload_bytes());
             }
-            (span, prefix, run)
+            (span, prefixes, runs)
         }
     };
-    span.add_events(run.total_refs);
-    publish_run(prefix.as_deref(), &run);
-    Ok(run)
+    span.add_events(runs.first().map_or(0, |r| r.total_refs));
+    if memsim_obs::enabled() {
+        for (prefix, run) in prefixes.iter().zip(&runs) {
+            for stats in run.all_levels() {
+                publish_final_stats(prefix, stats);
+            }
+        }
+    }
+    Ok(runs)
 }
 
 /// The one place a full walk assembles its hierarchy and picks its
 /// engine: `feed` delivers the stream to the sink in chunks, then the
-/// hierarchy is drained and harvested into a [`RawRun`] (unpublished).
+/// hierarchy is drained and harvested into one [`RawRun`] per structure
+/// (unpublished). The sharded engine takes exactly one structure.
+///
+/// The sequential hierarchy is the shared L1–L3 over a [`Fanout`] of one
+/// tail per structure. Draining the top and then each tail issues every
+/// tail the requests its stacked hierarchy would see, in the same order,
+/// so each run is bit-identical to a walk of that structure alone.
 fn walk_hierarchy(
     scale: &Scale,
-    structure: &Structure,
+    structures: &[Structure],
     regions: &[Region],
     engine: Engine,
     obs: &WalkObs<'_>,
     feed: impl FnOnce(&mut dyn TraceSink) -> Result<(), TraceError>,
-) -> Result<RawRun, TraceError> {
-    let (caches, terminal) = hierarchy_parts(scale, structure, regions);
-    match engine {
-        Engine::Sharded(shards) => {
-            let mut sharded = ShardedHierarchy::new(caches, terminal, shards, obs.prefix);
-            feed(&mut sharded)?;
-            let run = {
-                let _s = obs.drain_span.then(|| memsim_obs::span!("drain"));
-                sharded.finish()
-            };
-            Ok(raw_run(run.levels, run.memory, regions, run.total_refs))
-        }
-        Engine::Sequential => {
-            let mut hierarchy = Hierarchy::new(caches, terminal);
-            if let Some(prefix) = obs.prefix {
-                let reg = memsim_obs::global();
-                let names: Vec<String> = hierarchy
-                    .levels()
-                    .iter()
-                    .map(|c| c.config().name.clone())
-                    .collect();
-                let names: Vec<&str> = names.iter().map(String::as_str).collect();
-                let mut probes = HierarchyProbes::register(reg, prefix, &names);
-                if let Some(i) = obs.shard {
-                    probes.add_events_counter(reg.counter(&format!("progress.shard{i}.events")));
-                }
-                hierarchy.set_probes(probes);
-            }
-            feed(&mut hierarchy)?;
-            {
-                let _s = obs.drain_span.then(|| memsim_obs::span!("drain"));
-                hierarchy.drain();
-            }
-            hierarchy.assert_consistent();
-            let total_refs = hierarchy.total_refs();
-            let levels = hierarchy.levels().iter().map(|c| c.stats()).collect();
-            Ok(raw_run(
-                levels,
-                hierarchy.into_memory(),
-                regions,
-                total_refs,
-            ))
-        }
+) -> Result<Vec<RawRun>, TraceError> {
+    if let Engine::Sharded(shards) = engine {
+        let [structure] = structures else {
+            panic!("the sharded engine walks one structure per pass");
+        };
+        let (caches, terminal) = hierarchy_parts(scale, structure, regions);
+        let prefix = obs.prefixes.first().map(String::as_str);
+        let mut sharded = ShardedHierarchy::new(caches, terminal, shards, prefix);
+        feed(&mut sharded)?;
+        let run = {
+            let _s = obs.drain_span.then(|| memsim_obs::span!("drain"));
+            sharded.finish()
+        };
+        return Ok(vec![raw_run(
+            run.levels,
+            run.memory,
+            regions,
+            run.total_refs,
+        )]);
     }
+    let tails = structures
+        .iter()
+        .map(|s| Hierarchy::new(tail_levels(scale, s), terminal(regions)))
+        .collect();
+    let mut hierarchy = Hierarchy::new(shared_levels(scale), Fanout(tails));
+    let reg = memsim_obs::global();
+    if let Some((first, rest)) = obs.prefixes.split_first() {
+        let names: Vec<&str> = hierarchy
+            .levels()
+            .iter()
+            .map(|c| c.config().name.as_str())
+            .collect();
+        let mut probes = HierarchyProbes::register(reg, first, &names);
+        for prefix in rest {
+            probes.add_prefix(reg, prefix, &names);
+        }
+        if let Some(i) = obs.shard {
+            probes.add_events_counter(reg.counter(&format!("progress.shard{i}.events")));
+        }
+        hierarchy.set_probes(probes);
+    }
+    feed(&mut hierarchy)?;
+    {
+        let _s = obs.drain_span.then(|| memsim_obs::span!("drain"));
+        hierarchy.drain();
+    }
+    hierarchy.assert_consistent();
+    let total_refs = hierarchy.total_refs();
+    let shared: Vec<LevelStats> = hierarchy.levels().iter().map(|c| c.stats()).collect();
+    let Fanout(tails) = hierarchy.into_memory();
+    let runs = tails
+        .into_iter()
+        .enumerate()
+        .map(|(i, tail)| {
+            tail.assert_consistent();
+            if let Some(prefix) = obs.prefixes.get(i) {
+                // the tail's levels publish once, at the end (their
+                // 10 LevelStats fields are republished with the finals)
+                for cache in tail.levels() {
+                    LevelProbes::register(reg, &format!("{prefix}.{}", cache.config().name))
+                        .publish(&cache.counter_values());
+                }
+            }
+            let mut caches = shared.clone();
+            caches.extend(tail.levels().iter().map(|c| c.stats()));
+            raw_run(caches, tail.into_memory(), regions, total_refs)
+        })
+        .collect();
+    Ok(runs)
 }
 
 /// Assemble a [`RawRun`] from a drained hierarchy's pieces — the common
@@ -434,16 +502,6 @@ fn raw_run(
         total_refs,
         footprint_bytes: regions.iter().map(|r| r.len).sum(),
         sample: None,
-    }
-}
-
-/// When `prefix` is set and observability is enabled, publish every
-/// level's final stats (caches and `MEM`) under it.
-fn publish_run(prefix: Option<&str>, run: &RawRun) {
-    if let Some(prefix) = prefix.filter(|_| memsim_obs::enabled()) {
-        for stats in run.all_levels() {
-            publish_final_stats(prefix, stats);
-        }
     }
 }
 
@@ -495,8 +553,8 @@ impl SimCache {
         let mut simulated = false;
         let run = Arc::clone(cell.get_or_init(|| {
             simulated = true;
-            let run = walk(Source::Live(kind), scale, structure, opts);
-            Arc::new(run.unwrap_or_else(|e| panic!("{e}")))
+            let runs = walk(Source::Live(kind), scale, &[*structure], opts, None);
+            Arc::new(runs.unwrap_or_else(|e| panic!("{e}")).remove(0))
         }));
         if memsim_obs::enabled() {
             let field = if simulated { "misses" } else { "hits" };
@@ -717,6 +775,18 @@ pub(crate) fn catch_panic<T>(f: impl FnOnce() -> T) -> Result<T, String> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(panic_message)
 }
 
+/// How many workers a grid of `n` units runs on: `threads`, defaulting
+/// to the available parallelism, at least 1 and never more than `n`.
+pub(crate) fn worker_count(threads: Option<usize>, n: usize) -> usize {
+    threads
+        .unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(4)
+        })
+        .clamp(1, n.max(1))
+}
+
 /// Claim the indices `0..n` across `threads` scoped workers (default:
 /// the available parallelism; never more than `n`) and collect `job(i)`
 /// into one slot per index, in index order. Workers claim disjoint
@@ -735,13 +805,7 @@ pub(crate) fn parallel_slots<T: Send + Sync>(
     stop: impl Fn() -> bool + Sync,
     job: impl Fn(usize) -> T + Sync,
 ) -> Vec<Option<T>> {
-    let threads = threads
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4)
-        })
-        .clamp(1, n.max(1));
+    let threads = worker_count(threads, n);
     let next = std::sync::atomic::AtomicUsize::new(0);
     let slots: Vec<OnceLock<T>> = (0..n).map(|_| OnceLock::new()).collect();
     std::thread::scope(|s| {
@@ -881,10 +945,12 @@ mod tests {
         let run = walk(
             Source::Live(WorkloadKind::Cg),
             &scale(),
-            &Structure::ThreeLevel,
+            &[Structure::ThreeLevel],
             &RunOpts::default(),
+            None,
         )
-        .unwrap();
+        .unwrap()
+        .remove(0);
         assert_eq!(run.caches.len(), 3);
         assert!(run.total_refs > 100_000);
         // L1 sees every demand reference (after line splitting)
@@ -907,10 +973,12 @@ mod tests {
         let run = walk(
             Source::Live(WorkloadKind::Cg),
             &scale(),
-            &st,
+            &[st],
             &RunOpts::default(),
+            None,
         )
-        .unwrap();
+        .unwrap()
+        .remove(0);
         assert_eq!(run.caches.len(), 4);
         assert_eq!(run.caches[3].name, "L4");
         // the L4 must filter some traffic: memory loads < L3 load misses
@@ -931,16 +999,20 @@ mod tests {
             let seq = walk(
                 Source::Live(WorkloadKind::Cg),
                 &scale(),
-                &st,
+                &[st],
                 &RunOpts::default(),
+                None,
             )
-            .unwrap();
+            .unwrap()
+            .remove(0);
             for shards in [2usize, 7] {
                 let opts = RunOpts {
                     engine: Engine::Sharded(shards),
                     ..RunOpts::default()
                 };
-                let sh = walk(Source::Live(WorkloadKind::Cg), &scale(), &st, &opts).unwrap();
+                let sh = walk(Source::Live(WorkloadKind::Cg), &scale(), &[st], &opts, None)
+                    .unwrap()
+                    .remove(0);
                 assert_eq!(sh.caches, seq.caches, "{st:?} shards={shards}");
                 assert_eq!(sh.mem, seq.mem, "{st:?} shards={shards}");
                 assert_eq!(sh.per_region, seq.per_region, "{st:?} shards={shards}");

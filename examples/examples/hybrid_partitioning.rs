@@ -30,10 +30,12 @@ fn main() {
     let run = walk(
         Source::Live(workload),
         &scale,
-        &Structure::ThreeLevel,
+        &[Structure::ThreeLevel],
         &RunOpts::default(),
+        None,
     )
-    .unwrap();
+    .unwrap()
+    .remove(0);
 
     println!(
         "{:<12} {:>10} {:>12} {:>12} {:>10}",

@@ -2,8 +2,9 @@
 //!
 //! Records Graph500's address stream to a trace file, then evaluates the
 //! full Table 3 NMM configuration grid two ways — live (re-simulating the
-//! workload at every distinct hierarchy structure) and by sharded replay
-//! of the recording — verifying the results agree and reporting the
+//! workload at every distinct hierarchy structure) and by replay of the
+//! recording, where each worker serves its group of structures from one
+//! pass over the file — verifying the results agree and reporting the
 //! wall-clock for each.
 //!
 //! ```text
@@ -80,7 +81,7 @@ fn main() {
 
     println!();
     println!(
-        "{}-point grid: live regeneration {:.2} s, sharded replay {:.2} s ({:.2}x)",
+        "{}-point grid: live regeneration {:.2} s, fused replay {:.2} s ({:.2}x)",
         designs.len(),
         live_s,
         replay_s,

@@ -17,7 +17,15 @@ fn inter_level_flow_balance() {
                 page_bytes: 512,
             },
         ] {
-            let run = walk(Source::Live(kind), &scale, &structure, &RunOpts::default()).unwrap();
+            let run = walk(
+                Source::Live(kind),
+                &scale,
+                &[structure],
+                &RunOpts::default(),
+                None,
+            )
+            .unwrap()
+            .remove(0);
             for (i, w) in run.caches.windows(2).enumerate() {
                 let (upper, lower) = (&w[0], &w[1]);
                 // every demand miss above triggers exactly one load below.
@@ -57,10 +65,12 @@ fn dirty_data_reaches_memory() {
         let run = walk(
             Source::Live(kind),
             &scale,
-            &Structure::ThreeLevel,
+            &[Structure::ThreeLevel],
             &RunOpts::default(),
+            None,
         )
-        .unwrap();
+        .unwrap()
+        .remove(0);
         // L1 absorbed `stores`; after drain, those dirty lines must appear
         // as memory stores. With write-back caching, memory stores can be
         // fewer than CPU stores (coalescing) but never zero when stores
@@ -86,10 +96,12 @@ fn region_attribution_is_total() {
         let run = walk(
             Source::Live(kind),
             &scale,
-            &Structure::ThreeLevel,
+            &[Structure::ThreeLevel],
             &RunOpts::default(),
+            None,
         )
-        .unwrap();
+        .unwrap()
+        .remove(0);
         let region_loads: u64 = run.per_region.iter().map(|t| t.loads).sum();
         let region_stores: u64 = run.per_region.iter().map(|t| t.stores).sum();
         assert_eq!(
@@ -119,23 +131,27 @@ fn bigger_l4_filters_no_less() {
         let small = walk(
             Source::Live(kind),
             &scale,
-            &Structure::WithL4 {
+            &[Structure::WithL4 {
                 capacity_bytes: 512 << 10,
                 page_bytes: 1024,
-            },
+            }],
             &RunOpts::default(),
+            None,
         )
-        .unwrap();
+        .unwrap()
+        .remove(0);
         let big = walk(
             Source::Live(kind),
             &scale,
-            &Structure::WithL4 {
+            &[Structure::WithL4 {
                 capacity_bytes: 4 << 20,
                 page_bytes: 1024,
-            },
+            }],
             &RunOpts::default(),
+            None,
         )
-        .unwrap();
+        .unwrap()
+        .remove(0);
         // set-associative LRU is not a strict stack algorithm (set counts
         // differ), so allow a sliver of noise
         assert!(

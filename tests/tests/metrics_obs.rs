@@ -80,10 +80,12 @@ fn replay_export_json_is_bit_identical_to_level_stats() {
     let run = memsim_core::walk(
         Source::Trace(&path),
         &scale,
-        &Structure::ThreeLevel,
+        &[Structure::ThreeLevel],
         &RunOpts::default(),
+        None,
     )
-    .unwrap();
+    .unwrap()
+    .remove(0);
     memsim_obs::set_enabled(false);
 
     // the acceptance criterion: the values in the exported JSON document

@@ -21,10 +21,12 @@ fn analytic_placement_equals_resimulation() {
     let run = walk(
         Source::Live(kind),
         &scale,
-        &Structure::ThreeLevel,
+        &[Structure::ThreeLevel],
         &RunOpts::default(),
+        None,
     )
-    .unwrap();
+    .unwrap()
+    .remove(0);
     let choice = oracle(&run, Technology::Pcm, &scale);
 
     // physical re-simulation with the placement routed in the terminal
@@ -91,10 +93,12 @@ fn moving_hot_region_to_nvm_increases_time() {
     let run = walk(
         Source::Live(WorkloadKind::Hash),
         &scale,
-        &Structure::ThreeLevel,
+        &[Structure::ThreeLevel],
         &RunOpts::default(),
+        None,
     )
-    .unwrap();
+    .unwrap()
+    .remove(0);
     // find the hottest region
     let hottest = run
         .per_region
@@ -124,10 +128,12 @@ fn oracle_is_locally_optimal() {
     let run = walk(
         Source::Live(WorkloadKind::Cg),
         &scale,
-        &Structure::ThreeLevel,
+        &[Structure::ThreeLevel],
         &RunOpts::default(),
+        None,
     )
-    .unwrap();
+    .unwrap()
+    .remove(0);
     let choice = oracle(&run, Technology::SttRam, &scale);
     let base_edp = choice.metrics.edp();
     let budget = memsim_core::partition::ndm_dram_budget(&scale, run.footprint_bytes);

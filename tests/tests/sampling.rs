@@ -72,10 +72,12 @@ fn golden_accuracy(kind: WorkloadKind) {
         let full = walk(
             Source::Trace(&path),
             &scale,
-            &structure,
+            &[structure],
             &RunOpts::default(),
+            None,
         )
-        .unwrap();
+        .unwrap()
+        .remove(0);
         let sampled = walk_windows(&path, &scale, &structure, &plan).unwrap();
         let what = format!("{} × {}", kind.name(), design.label());
 
@@ -152,10 +154,12 @@ fn clusters_at_least_intervals_is_bit_identical_to_full_run() {
         let full = walk(
             Source::Trace(&path),
             &scale,
-            &structure,
+            &[structure],
             &RunOpts::default(),
+            None,
         )
-        .unwrap();
+        .unwrap()
+        .remove(0);
         let sampled = walk_windows(&path, &scale, &structure, &plan).unwrap();
         let what = design.label();
         assert_eq!(full.caches, sampled.caches, "{what}: cache LevelStats");

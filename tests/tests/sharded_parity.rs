@@ -167,18 +167,28 @@ fn paper_structures_match_across_engines() {
     ];
     for kind in [WorkloadKind::Cg, WorkloadKind::Hash] {
         for structure in &structures {
-            let seq = walk(Source::Live(kind), &scale, structure, &RunOpts::default()).unwrap();
+            let seq = walk(
+                Source::Live(kind),
+                &scale,
+                &[*structure],
+                &RunOpts::default(),
+                None,
+            )
+            .unwrap()
+            .remove(0);
             for shards in [2usize, 7] {
                 let par = walk(
                     Source::Live(kind),
                     &scale,
-                    structure,
+                    &[*structure],
                     &RunOpts {
                         engine: Engine::Sharded(shards),
                         ..RunOpts::default()
                     },
+                    None,
                 )
-                .unwrap();
+                .unwrap()
+                .remove(0);
                 assert_eq!(
                     par.caches, seq.caches,
                     "{kind:?} {structure:?} diverged at {shards} shards"
@@ -200,20 +210,24 @@ fn auto_engine_matches_sequential() {
     let seq = walk(
         Source::Live(WorkloadKind::Lu),
         &scale,
-        &Structure::ThreeLevel,
+        &[Structure::ThreeLevel],
         &RunOpts::default(),
+        None,
     )
-    .unwrap();
+    .unwrap()
+    .remove(0);
     let auto = walk(
         Source::Live(WorkloadKind::Lu),
         &scale,
-        &Structure::ThreeLevel,
+        &[Structure::ThreeLevel],
         &RunOpts {
             engine: Engine::auto(),
             ..RunOpts::default()
         },
+        None,
     )
-    .unwrap();
+    .unwrap()
+    .remove(0);
     assert_eq!(auto.caches, seq.caches);
     assert_eq!(auto.mem, seq.mem);
 }
