@@ -225,9 +225,10 @@ cmp "$smoke_dir/trace-sharded-a.json" "$smoke_dir/trace-sharded-b.json"
 # Sampled replay: warm-vs-measure phase spans and CI-halfwidth counter
 # tracks. The first run pays the one-time interval-plan build (an extra
 # sample.plan span) and warms the plan sidecar; the next two are the
-# byte-stability pair, diffed against the committed golden. `--shards seq`
-# pins the manifest's "engine" to the golden's on any core count (the
-# sampled walk is sequential whatever the engine).
+# byte-stability pair, diffed against the committed golden. Both designs'
+# structures share one sampled pass (one `sample.replay.3L+...` span).
+# `--shards seq` pins the manifest's "engine" to the golden's on any core
+# count (the sampled walk is sequential whatever the engine).
 MEMSIM_OBS_DETERMINISTIC=1 "$BIN" replay "$smoke_dir/hash.trace" --designs baseline,nmm \
     --sample interval=32k,clusters=2 --shards seq --threads 1 --quiet \
     --trace-out "$smoke_dir/trace-planwarm.json"
@@ -275,6 +276,12 @@ snames = {e["name"] for e in sampled["traceEvents"]}
 for want in ("sample.warm", "sample.measure", "sample.ci_halfwidth.amat"):
     assert want in snames, (want, sorted(snames))
 assert "memsim-replay0" in lanes(sampled), lanes(sampled)
+# one sampled pass serves both structures: the replay lane holds exactly
+# one sample.replay span, named with both labels
+replay0 = lanes(sampled)["memsim-replay0"]
+walks = [e["name"] for e in sampled["traceEvents"]
+         if e["tid"] == replay0 and e["ph"] == "B" and e["name"].startswith("sample.replay.")]
+assert walks == ["sample.replay.3L+4L-c8388608-p512"], walks
 print("obs-trace: shard lanes {}, {} sharded events; sampled timeline has warm/measure phases".format(
     sorted(k for k in shard_lanes if k.startswith("memsim-shard")),
     len(sharded["traceEvents"])))

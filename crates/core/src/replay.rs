@@ -174,20 +174,20 @@ impl ReplayOutcome {
 /// same two-phase split as the live [`crate::runner::evaluate_grid`], with
 /// the workload execution replaced by a trace walk.
 ///
-/// On the sequential full-fidelity engine the structures are dealt, in
-/// first-appearance order, round-robin into `min(threads, structures)`
-/// groups (`threads` defaults to the available parallelism), and each
-/// group is one fused [`walk`] on its own worker: one decode and one
-/// L1–L3 walk per group, however many structures it holds. With
+/// On the sequential engine, and whenever sampling is on, the structures
+/// are dealt, in first-appearance order, round-robin into
+/// `min(threads, structures)` groups (`threads` defaults to the available
+/// parallelism), and each group is one fused [`walk`] on its own worker:
+/// one decode (or, sampled, one seek through the representative windows)
+/// and one L1–L3 walk per group, however many structures it holds. With
 /// `--threads 1` the whole grid is a single pass over the file. Dealing
 /// round-robin spreads the page-cache tails, which carry a walk's
 /// per-structure cost, over the groups: the 3-level baseline, whose tail
 /// is empty, comes first in the CLI's grids and shares a pass with one of
-/// them. The
-/// sharded engine and the sampled walk take one structure per worker
-/// slot; with sampling on, each walk simulates one representative
+/// them. With sampling on, each walk simulates one representative
 /// interval per cluster of the trace (per the shared
-/// [`crate::SamplePlan`]) and extrapolates.
+/// [`crate::SamplePlan`]) and extrapolates. Only the full-fidelity
+/// sharded engine takes one structure per worker slot.
 ///
 /// Fault-isolated per walk: a walk that fails to decode (corrupt chunk,
 /// truncated file mid-walk) or panics strands every design of the
@@ -223,7 +223,7 @@ pub fn replay_grid(
     // Deal the structures round-robin into the walks' groups and store
     // them group-major, so each group is a contiguous slice.
     let n = distinct.len();
-    let k = if opts.engine == Engine::Sequential && !opts.sample.is_on() {
+    let k = if opts.engine == Engine::Sequential || opts.sample.is_on() {
         worker_count(threads, n).min(n)
     } else {
         n

@@ -136,8 +136,9 @@ pub struct RunOpts {
     pub engine: Engine,
     /// `Off` walks every event; `On` simulates one representative
     /// interval per cluster and extrapolates (results carry confidence
-    /// intervals). The sampled walk is always sequential, so `engine`
-    /// does not apply to it.
+    /// intervals). The sampled walk is always the sequential fused walk
+    /// (one pass over the plan's windows for every structure of the
+    /// call), so `engine` does not apply to it.
     pub sample: SampleMode,
 }
 
@@ -203,20 +204,25 @@ fn terminal(regions: &[Region]) -> PartitionedMemory {
     PartitionedMemory::new(regions, Technology::Pcm)
 }
 
-/// The whole cache stack of a `structure` at `scale` (the shared L1–L3
-/// plus its tail levels) over a terminal that attributes traffic to
-/// `regions`, for the walks that take one structure at a time (the
-/// sharded engine and the sampled walk). The sequential walk assembles
-/// the same levels as a shared top over per-structure tails, so every
-/// walk's stats agree.
-pub(crate) fn hierarchy_parts(
+/// What [`fused_hierarchy`] builds.
+pub(crate) type Fused = Hierarchy<Fanout<Hierarchy<PartitionedMemory>>>;
+
+/// The hierarchy every sequential walk runs: the shared L1–L3 at `scale`
+/// over a [`Fanout`] of one tail per structure (its levels below L3 over
+/// its own terminal attributing traffic to `regions`), in order. Draining
+/// it drains the top and then each tail, which issues every tail the
+/// requests its stacked hierarchy would see, in the same order, so each
+/// tail's counters are bit-identical to a walk of that structure alone.
+pub(crate) fn fused_hierarchy(
     scale: &Scale,
-    structure: &Structure,
+    structures: &[Structure],
     regions: &[Region],
-) -> (Vec<Cache>, PartitionedMemory) {
-    let mut caches = shared_levels(scale);
-    caches.extend(tail_levels(scale, structure));
-    (caches, terminal(regions))
+) -> Fused {
+    let tails = structures
+        .iter()
+        .map(|s| Hierarchy::new(tail_levels(scale, s), terminal(regions)))
+        .collect();
+    Hierarchy::new(shared_levels(scale), Fanout(tails))
 }
 
 /// Publish one level's final statistics into the global observability
@@ -260,13 +266,14 @@ struct WalkObs<'a> {
 /// order. This is the expensive step: every reference (or, sampled, every
 /// reference of the representative windows) walks the hierarchy.
 ///
-/// The sequential full-fidelity walk serves the whole slice from one pass
-/// over the source: the stream is generated or decoded once and walks the
-/// shared L1–L3 once, and L3's traffic fans out to each structure's tail
-/// (its L4, if any, over its own terminal). A lone structure is the
-/// one-element case. The sharded engine and the sampled walk take one
-/// structure per pass. Every engine and grouping yields bit-identical
-/// [`RawRun`] counters; the sharded engine trades the sequential path's
+/// The sequential full-fidelity walk and the sampled walk serve the whole
+/// slice from one pass over the source: the stream (or the plan's
+/// representative windows of it) is generated or decoded once and walks
+/// the shared L1–L3 once, and L3's traffic fans out to each structure's
+/// tail (its L4, if any, over its own terminal). A lone structure is the
+/// one-element case. Only the sharded engine takes one structure per
+/// pass. Every engine and grouping yields bit-identical [`RawRun`]
+/// counters; the sharded engine trades the sequential path's
 /// per-epoch probe publication for per-shard progress telemetry, with the
 /// identical finals published at the end either way.
 ///
@@ -295,18 +302,13 @@ pub fn walk(
             Source::Trace(path) => (path.to_path_buf(), false),
         };
         let plan = sampling::plan_for(&path, spec)?;
-        return structures
-            .iter()
-            .map(|structure| {
-                sampling::walk_windows(&path, scale, structure, &plan).map_err(|e| {
-                    if live {
-                        format!("sampled replay of {}: {e}", path.display())
-                    } else {
-                        e.to_string()
-                    }
-                })
-            })
-            .collect();
+        return sampling::walk_windows(&path, scale, structures, &plan).map_err(|e| {
+            if live {
+                format!("sampled replay of {}: {e}", path.display())
+            } else {
+                e.to_string()
+            }
+        });
     }
     if let (Engine::Sharded(_), [_, _, ..]) = (opts.engine, structures) {
         // the sharded engine splits one hierarchy's sets across workers,
@@ -400,10 +402,8 @@ pub fn walk(
 /// hierarchy is drained and harvested into one [`RawRun`] per structure
 /// (unpublished). The sharded engine takes exactly one structure.
 ///
-/// The sequential hierarchy is the shared L1–L3 over a [`Fanout`] of one
-/// tail per structure. Draining the top and then each tail issues every
-/// tail the requests its stacked hierarchy would see, in the same order,
-/// so each run is bit-identical to a walk of that structure alone.
+/// The sequential hierarchy is [`fused_hierarchy`], so each run is
+/// bit-identical to a walk of that structure alone.
 fn walk_hierarchy(
     scale: &Scale,
     structures: &[Structure],
@@ -416,9 +416,11 @@ fn walk_hierarchy(
         let [structure] = structures else {
             panic!("the sharded engine walks one structure per pass");
         };
-        let (caches, terminal) = hierarchy_parts(scale, structure, regions);
+        // one structure's whole stack, its sets split across the workers
+        let mut caches = shared_levels(scale);
+        caches.extend(tail_levels(scale, structure));
         let prefix = obs.prefixes.first().map(String::as_str);
-        let mut sharded = ShardedHierarchy::new(caches, terminal, shards, prefix);
+        let mut sharded = ShardedHierarchy::new(caches, terminal(regions), shards, prefix);
         feed(&mut sharded)?;
         let run = {
             let _s = obs.drain_span.then(|| memsim_obs::span!("drain"));
@@ -431,11 +433,7 @@ fn walk_hierarchy(
             run.total_refs,
         )]);
     }
-    let tails = structures
-        .iter()
-        .map(|s| Hierarchy::new(tail_levels(scale, s), terminal(regions)))
-        .collect();
-    let mut hierarchy = Hierarchy::new(shared_levels(scale), Fanout(tails));
+    let mut hierarchy = fused_hierarchy(scale, structures, regions);
     let reg = memsim_obs::global();
     if let Some((first, rest)) = obs.prefixes.split_first() {
         let names: Vec<&str> = hierarchy

@@ -14,8 +14,8 @@
 //! Two warmup policies handle the state a representative inherits from
 //! the stream it never saw:
 //!
-//! * [`Warmup::Functional`] (default): one shared hierarchy walks the
-//!   file once; each representative is preceded by a one-interval warm
+//! * [`Warmup::Functional`] (default): one hierarchy walks the file
+//!   once; each representative is preceded by a one-interval warm
 //!   window fed without being measured, and the representative's
 //!   contribution is the *delta* between snapshots at its boundaries.
 //!   With `clusters >= intervals` every interval is its own
@@ -28,6 +28,13 @@
 //!   charged to every cluster (a documented bias), so `Functional` is
 //!   the default.
 //!
+//! One sampled pass serves every structure of a walk ([`walk_windows`]):
+//! the plan picks its windows by trace content, not by cache structure,
+//! so the windows are seek-skipped and decoded once and walk the shared
+//! L1–L3 once, and L3's traffic fans out to each structure's own tail.
+//! Each structure's snapshots, cluster runs and extrapolation are those
+//! of a walk of that structure alone (pinned by tests).
+//!
 //! The sampled path is trace-backed: live entry points record the
 //! workload's stream once (per process, shared across all structures)
 //! and replay windows of it. The interval plan is itself built with a
@@ -38,10 +45,10 @@
 
 use crate::design::{Structure, MEM_NAME};
 use crate::model::{LevelCost, Metrics};
-use crate::runner::{hierarchy_parts, RawRun};
+use crate::runner::{fused_hierarchy, Fused, RawRun};
 use crate::scale::Scale;
-use memsim_cache::{Hierarchy, LevelStats};
-use memsim_memory::{PartitionedMemory, RegionTraffic};
+use memsim_cache::LevelStats;
+use memsim_memory::RegionTraffic;
 use memsim_trace::{SignatureBuilder, TraceSink, SIGNATURE_DIMS};
 use memsim_tracefile::{ChunkStep, TraceError, TraceReader, TRACE_CHUNK_EVENTS};
 use memsim_workloads::{Class, WorkloadKind};
@@ -234,19 +241,23 @@ impl SamplePlan {
     /// Events simulated by a [`Warmup::Functional`] pass (warm windows
     /// included), for speedup estimates.
     pub fn simulated_events(&self) -> u64 {
-        self.functional_segments().iter().map(|(a, b)| b - a).sum()
+        self.segments(true).iter().map(|(a, b)| b - a).sum()
     }
 
-    /// The disjoint, ascending event ranges a Functional pass feeds:
-    /// each representative preceded by a one-interval warm window,
-    /// overlaps merged.
-    fn functional_segments(&self) -> Vec<(u64, u64)> {
+    /// The disjoint, ascending event ranges a sampled pass feeds: each
+    /// representative, preceded by a one-interval warm window when
+    /// `warm`, overlaps merged.
+    fn segments(&self, warm: bool) -> Vec<(u64, u64)> {
         let mut reps: Vec<u64> = self.clusters.iter().map(|c| c.representative).collect();
         reps.sort_unstable();
         let mut segments: Vec<(u64, u64)> = Vec::new();
         for r in reps {
             let (rs, re) = self.interval_bounds(r);
-            let ws = rs.saturating_sub(self.spec.interval);
+            let ws = if warm {
+                rs.saturating_sub(self.spec.interval)
+            } else {
+                rs
+            };
             match segments.last_mut() {
                 Some(last) if ws <= last.1 => last.1 = last.1.max(re),
                 _ => segments.push((ws, re)),
@@ -587,7 +598,9 @@ pub fn publish_ci_summary(cis: &[SampleCi]) {
 // sampled replay
 // ---------------------------------------------------------------------------
 
-/// A pure-read snapshot of a running hierarchy's counters.
+/// A pure-read snapshot of one structure's counters in a running fused
+/// hierarchy: the shared levels followed by its tail's levels, its
+/// terminal, and the demand references issued at the top.
 struct Snap {
     levels: Vec<LevelStats>,
     mem: LevelStats,
@@ -595,13 +608,23 @@ struct Snap {
     refs: u64,
 }
 
-fn snap(h: &Hierarchy<PartitionedMemory>) -> Snap {
-    Snap {
-        levels: h.levels().iter().map(|c| c.stats()).collect(),
-        mem: h.memory().dram_stats().clone(),
-        traffic: h.memory().traffic().to_vec(),
-        refs: h.total_refs(),
-    }
+/// One [`Snap`] per structure of `h`, in order.
+fn snaps(h: &Fused) -> Vec<Snap> {
+    let shared: Vec<LevelStats> = h.levels().iter().map(|c| c.stats()).collect();
+    h.memory()
+        .0
+        .iter()
+        .map(|tail| {
+            let mut levels = shared.clone();
+            levels.extend(tail.levels().iter().map(|c| c.stats()));
+            Snap {
+                levels,
+                mem: tail.memory().dram_stats().clone(),
+                traffic: tail.memory().traffic().to_vec(),
+                refs: h.total_refs(),
+            }
+        })
+        .collect()
 }
 
 fn stats_delta(end: &LevelStats, start: &LevelStats) -> LevelStats {
@@ -645,15 +668,17 @@ fn traffic_delta(end: &[RegionTraffic], start: &[RegionTraffic]) -> Vec<RegionTr
         .collect()
 }
 
-fn snap_delta(c: &SampleCluster, end: &Snap, start: &Snap) -> ClusterRun {
+/// The counters one structure accrued between two snapshots, charged to
+/// `representative` with extrapolation `weight`.
+fn snap_delta(representative: u64, weight: u64, end: &Snap, start: &Snap) -> ClusterRun {
     // the terminal delta takes the canonical name so downstream costing
     // (which aligns stats to costs by name, like the extrapolated run's
     // own terminal) accepts cluster runs too
     let mut mem = stats_delta(&end.mem, &start.mem);
     mem.name = MEM_NAME.to_string();
     ClusterRun {
-        representative: c.representative,
-        weight: c.weight,
+        representative,
+        weight,
         refs: end.refs - start.refs,
         caches: end
             .levels
@@ -666,52 +691,56 @@ fn snap_delta(c: &SampleCluster, end: &Snap, start: &Snap) -> ClusterRun {
     }
 }
 
+/// Drain `h` (the shared levels, then each tail) and check every
+/// level's counters.
+fn drain(h: &mut Fused) {
+    h.drain();
+    h.assert_consistent();
+    for tail in &h.memory().0 {
+        tail.assert_consistent();
+    }
+}
+
 enum Mark {
     Start(usize),
     End(usize),
 }
 
 /// Replay only the plan's representative windows of the trace at `path`
-/// through `structure`'s hierarchy and extrapolate a full-stream
-/// [`RawRun`] (with [`RawRun::sample`] set).
+/// through the hierarchy of every structure in `structures` and
+/// extrapolate one full-stream [`RawRun`] per structure (with
+/// [`RawRun::sample`] set), in order.
 ///
-/// Always a sequential walk: snapshot deltas need one hierarchy with a
-/// well-defined event order, so the engine choice upstream applies only
-/// to full-fidelity runs. [`crate::runner::walk`] dispatches here when
-/// sampling is on, with the memoized plan of [`plan_for`].
+/// One pass serves the whole slice: the windows are seek-skipped and
+/// decoded once and walk the shared L1–L3 once, over a
+/// [`memsim_cache::Fanout`] of one tail per structure (the sequential
+/// full walk's assembly). The plan picks windows by trace content, not by
+/// structure, so every structure is measured over the same windows; each
+/// structure's snapshots, cluster runs and extrapolation are exactly
+/// those of a lone walk. A lone structure is the one-element case. Always
+/// sequential: snapshot deltas need one hierarchy with a well-defined
+/// event order, so the engine choice upstream applies only to
+/// full-fidelity runs. [`crate::runner::walk`] dispatches here when
+/// sampling is on, with the memoized plan of [`plan_for`]. A decode error
+/// fails every structure of the pass.
 pub fn walk_windows(
     path: &Path,
     scale: &Scale,
-    structure: &Structure,
+    structures: &[Structure],
     plan: &SamplePlan,
-) -> Result<RawRun, TraceError> {
-    let mut span = memsim_obs::span!("sample.replay.{}", structure.obs_label());
+) -> Result<Vec<RawRun>, TraceError> {
+    let labels: Vec<String> = structures.iter().map(Structure::obs_label).collect();
+    let mut span = memsim_obs::span!("sample.replay.{}", labels.join("+"));
 
     // window layout: ascending representatives, each with its warm
     // window (Functional) or bare interval (Cold); marks at interval
     // boundaries, End sorted before Start at equal positions so
     // back-to-back representatives hand over correctly
-    let mut reps: Vec<(usize, u64)> = plan
-        .clusters
-        .iter()
-        .enumerate()
-        .map(|(c, cl)| (c, cl.representative))
-        .collect();
-    reps.sort_by_key(|&(_, r)| r);
     let functional = plan.spec.warmup == Warmup::Functional;
-    let mut segments: Vec<(u64, u64)> = Vec::new();
+    let segments = plan.segments(functional);
     let mut marks: Vec<(u64, Mark)> = Vec::new();
-    for &(c, r) in &reps {
-        let (rs, re) = plan.interval_bounds(r);
-        let ws = if functional {
-            rs.saturating_sub(plan.spec.interval)
-        } else {
-            rs
-        };
-        match segments.last_mut() {
-            Some(last) if ws <= last.1 => last.1 = last.1.max(re),
-            _ => segments.push((ws, re)),
-        }
+    for (c, cl) in plan.clusters.iter().enumerate() {
+        let (rs, re) = plan.interval_bounds(cl.representative);
         marks.push((rs, Mark::Start(c)));
         marks.push((re, Mark::End(c)));
     }
@@ -720,14 +749,11 @@ pub fn walk_windows(
     let mut reader = TraceReader::open(path)?;
     reader.enable_seek_skip();
     let regions = reader.header().regions.clone();
-    let fresh = |scale: &Scale, structure: &Structure| {
-        let (caches, terminal) = hierarchy_parts(scale, structure, &regions);
-        Hierarchy::new(caches, terminal)
-    };
-    let mut hierarchy: Option<Hierarchy<PartitionedMemory>> =
-        functional.then(|| fresh(scale, structure));
-    let mut starts: Vec<Option<Snap>> = (0..plan.clusters.len()).map(|_| None).collect();
-    let mut runs: Vec<Option<ClusterRun>> = (0..plan.clusters.len()).map(|_| None).collect();
+    let fresh = || fused_hierarchy(scale, structures, &regions);
+    let mut hierarchy: Option<Fused> = functional.then(fresh);
+    // per cluster: the start snapshots, then one run per structure
+    let mut starts: Vec<Option<Vec<Snap>>> = (0..plan.clusters.len()).map(|_| None).collect();
+    let mut runs: Vec<Option<Vec<ClusterRun>>> = (0..plan.clusters.len()).map(|_| None).collect();
     let mut mark_i = 0usize;
     let mut seg_i = 0usize;
     // Flight-recorder phase spans: the timeline distinguishes warm-window
@@ -755,9 +781,9 @@ pub fn walk_windows(
                         }
                         measuring = true;
                         if functional {
-                            starts[c] = Some(snap(hierarchy.as_ref().expect("live hierarchy")));
+                            starts[c] = Some(snaps(hierarchy.as_ref().expect("live hierarchy")));
                         } else {
-                            hierarchy = Some(fresh(scale, structure));
+                            hierarchy = Some(fresh());
                         }
                     }
                     Mark::End(c) => {
@@ -765,27 +791,32 @@ pub fn walk_windows(
                             memsim_obs::recorder::span_end("sample.measure");
                         }
                         measuring = false;
-                        if functional {
+                        let cl = &plan.clusters[c];
+                        runs[c] = Some(if functional {
                             let s0 = starts[c].take().expect("start snapshot");
-                            let s1 = snap(hierarchy.as_ref().expect("live hierarchy"));
-                            runs[c] = Some(snap_delta(&plan.clusters[c], &s1, &s0));
+                            let s1 = snaps(hierarchy.as_ref().expect("live hierarchy"));
+                            s1.iter()
+                                .zip(&s0)
+                                .map(|(e, s)| snap_delta(cl.representative, cl.weight, e, s))
+                                .collect()
                         } else {
                             let mut h = hierarchy.take().expect("live hierarchy");
-                            h.drain();
-                            h.assert_consistent();
-                            let refs = h.total_refs();
-                            let caches: Vec<LevelStats> =
-                                h.levels().iter().map(|x| x.stats()).collect();
-                            let mem_part = h.into_memory();
-                            runs[c] = Some(ClusterRun {
-                                representative: plan.clusters[c].representative,
-                                weight: plan.clusters[c].weight,
-                                refs,
-                                caches,
-                                mem: mem_part.dram_stats().clone(),
-                                per_region: mem_part.traffic().to_vec(),
-                            });
-                        }
+                            drain(&mut h);
+                            snaps(&h)
+                                .into_iter()
+                                .map(|s| ClusterRun {
+                                    representative: cl.representative,
+                                    weight: cl.weight,
+                                    refs: s.refs,
+                                    caches: s.levels,
+                                    mem: LevelStats {
+                                        name: MEM_NAME.to_string(),
+                                        ..s.mem
+                                    },
+                                    per_region: s.traffic,
+                                })
+                                .collect()
+                        });
                     }
                 }
                 mark_i += 1;
@@ -852,71 +883,32 @@ pub fn walk_windows(
         memsim_obs::recorder::span_end("sample.warm");
     }
 
-    let cluster_runs: Vec<ClusterRun> = runs
-        .into_iter()
-        .map(|r| r.expect("every representative measured"))
-        .collect();
+    // regroup the measured runs structure-major
+    let mut cluster_runs: Vec<Vec<ClusterRun>> = structures.iter().map(|_| Vec::new()).collect();
+    for per_structure in runs {
+        let per_structure = per_structure.expect("every representative measured");
+        for (acc, run) in cluster_runs.iter_mut().zip(per_structure) {
+            acc.push(run);
+        }
+    }
 
     // extrapolate: population-weighted cluster deltas, plus (Functional
     // only) the end-of-run drain flush, once and unweighted — it is a
     // terminal artifact of the whole run, not of any interval. At
     // clusters == intervals the weighted sum telescopes to the exact
     // pre-drain counters and this lands the exact finals.
-    let level_names: Vec<String> = cluster_runs[0]
-        .caches
-        .iter()
-        .map(|s| s.name.clone())
-        .collect();
-    let mut caches: Vec<LevelStats> = level_names
-        .into_iter()
-        .map(|name| LevelStats {
-            name,
-            ..Default::default()
-        })
-        .collect();
-    let mut mem = LevelStats {
-        name: MEM_NAME.to_string(),
-        ..Default::default()
+    let drains: Vec<Option<ClusterRun>> = match hierarchy.as_mut() {
+        Some(h) if functional => {
+            let pre = snaps(h);
+            drain(h);
+            let post = snaps(h);
+            post.iter()
+                .zip(&pre)
+                .map(|(e, s)| Some(snap_delta(0, 1, e, s)))
+                .collect()
+        }
+        _ => structures.iter().map(|_| None).collect(),
     };
-    let mut per_region = vec![RegionTraffic::default(); regions.len()];
-    let mut total_refs = 0u64;
-    for cr in &cluster_runs {
-        for (acc, d) in caches.iter_mut().zip(cr.caches.iter()) {
-            stats_scaled_add(acc, d, cr.weight);
-        }
-        stats_scaled_add(&mut mem, &cr.mem, cr.weight);
-        for (acc, d) in per_region.iter_mut().zip(cr.per_region.iter()) {
-            acc.loads += d.loads * cr.weight;
-            acc.stores += d.stores * cr.weight;
-            acc.bytes_loaded += d.bytes_loaded * cr.weight;
-            acc.bytes_stored += d.bytes_stored * cr.weight;
-        }
-        total_refs += cr.refs * cr.weight;
-    }
-    if functional {
-        let h = hierarchy.as_mut().expect("live hierarchy");
-        let pre = snap(h);
-        h.drain();
-        h.assert_consistent();
-        let post = snap(h);
-        for (acc, (e, s)) in caches
-            .iter_mut()
-            .zip(post.levels.iter().zip(pre.levels.iter()))
-        {
-            stats_scaled_add(acc, &stats_delta(e, s), 1);
-        }
-        stats_scaled_add(&mut mem, &stats_delta(&post.mem, &pre.mem), 1);
-        for (acc, d) in per_region
-            .iter_mut()
-            .zip(traffic_delta(&post.traffic, &pre.traffic).iter())
-        {
-            acc.loads += d.loads;
-            acc.stores += d.stores;
-            acc.bytes_loaded += d.bytes_loaded;
-            acc.bytes_stored += d.bytes_stored;
-        }
-        total_refs += post.refs - pre.refs;
-    }
 
     if memsim_obs::enabled() {
         let reg = memsim_obs::global();
@@ -930,23 +922,62 @@ pub fn walk_windows(
             .store(plan.simulated_events());
         reg.counter("sample.events_total").store(plan.total_events);
     }
-    span.add_events(cluster_runs.iter().map(|c| c.refs).sum());
+    // each measured event counts once per pass, however many structures
+    // it served
+    span.add_events(
+        cluster_runs
+            .first()
+            .map_or(0, |runs| runs.iter().map(|c| c.refs).sum()),
+    );
 
-    Ok(RawRun {
-        caches,
-        mem,
-        per_region,
-        region_names: regions.iter().map(|r| r.name.clone()).collect(),
-        region_sizes: regions.iter().map(|r| r.len).collect(),
-        region_starts: regions.iter().map(|r| r.start).collect(),
-        total_refs,
-        footprint_bytes: regions.iter().map(|r| r.len).sum(),
-        sample: Some(SampleDetail {
-            spec: plan.spec,
-            intervals: plan.intervals,
-            cluster_runs,
-        }),
-    })
+    Ok(cluster_runs
+        .into_iter()
+        .zip(drains)
+        .map(|(cluster_runs, drain)| {
+            let mut caches: Vec<LevelStats> = cluster_runs[0]
+                .caches
+                .iter()
+                .map(|s| LevelStats {
+                    name: s.name.clone(),
+                    ..Default::default()
+                })
+                .collect();
+            let mut mem = LevelStats {
+                name: MEM_NAME.to_string(),
+                ..Default::default()
+            };
+            let mut per_region = vec![RegionTraffic::default(); regions.len()];
+            let mut total_refs = 0u64;
+            for cr in cluster_runs.iter().chain(&drain) {
+                for (acc, d) in caches.iter_mut().zip(cr.caches.iter()) {
+                    stats_scaled_add(acc, d, cr.weight);
+                }
+                stats_scaled_add(&mut mem, &cr.mem, cr.weight);
+                for (acc, d) in per_region.iter_mut().zip(cr.per_region.iter()) {
+                    acc.loads += d.loads * cr.weight;
+                    acc.stores += d.stores * cr.weight;
+                    acc.bytes_loaded += d.bytes_loaded * cr.weight;
+                    acc.bytes_stored += d.bytes_stored * cr.weight;
+                }
+                total_refs += cr.refs * cr.weight;
+            }
+            RawRun {
+                caches,
+                mem,
+                per_region,
+                region_names: regions.iter().map(|r| r.name.clone()).collect(),
+                region_sizes: regions.iter().map(|r| r.len).collect(),
+                region_starts: regions.iter().map(|r| r.start).collect(),
+                total_refs,
+                footprint_bytes: regions.iter().map(|r| r.len).sum(),
+                sample: Some(SampleDetail {
+                    spec: plan.spec,
+                    intervals: plan.intervals,
+                    cluster_runs,
+                }),
+            }
+        })
+        .collect())
 }
 
 // ---------------------------------------------------------------------------
